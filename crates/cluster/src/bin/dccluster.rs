@@ -4,7 +4,7 @@
 //! dccluster [--listen HOST:PORT] [--shards N] [--engine HOST:PORT]...
 //!           [--replicas] [--follower HOST:PORT]...
 //!           [--repl-interval-ms N] [--failover-misses N]
-//!           [--data-host HOST] [--backoff-us N]
+//!           [--data-host HOST]
 //!           [--data-dir PATH] [--fsync always|every_n:N|off] [--seal-rows N]
 //!           [--trace-ring N] [--trace-sample N]
 //!           [--metrics-interval-ms N] [--metrics-depth N]
@@ -73,10 +73,6 @@ fn main() {
                 Some(v) => config.data_host = v,
                 None => die("--data-host requires HOST"),
             },
-            "--backoff-us" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(us) => config.engine.idle_backoff = Duration::from_micros(us),
-                None => die("--backoff-us requires a number"),
-            },
             "--data-dir" => match args.next() {
                 Some(v) => config.engine.data_dir = Some(v.into()),
                 None => die("--data-dir requires a path"),
@@ -113,7 +109,7 @@ fn main() {
                     "dccluster [--listen HOST:PORT] [--shards N] [--engine HOST:PORT]...\n          \
                      [--replicas] [--follower HOST:PORT]...\n          \
                      [--repl-interval-ms N] [--failover-misses N]\n          \
-                     [--data-host HOST] [--backoff-us N]\n          \
+                     [--data-host HOST]\n          \
                      [--data-dir PATH] [--fsync always|every_n:N|off] [--seal-rows N]\n          \
                      [--trace-ring N] [--trace-sample N (0 = off)]\n          \
                      [--metrics-interval-ms N] [--metrics-depth N]\n\n\

@@ -12,6 +12,7 @@
 use std::net::TcpListener;
 use std::sync::Arc;
 
+use dcserver::accept::Acceptor;
 use dcserver::control::serve_loop;
 use dcserver::error::Result;
 use dcserver::protocol::{parse_command, Command, Response};
@@ -21,6 +22,7 @@ use crate::router::ClusterRuntime;
 /// The cluster's control-plane server.
 pub struct ClusterControl {
     listener: TcpListener,
+    acceptor: Arc<Acceptor>,
     runtime: Arc<ClusterRuntime>,
 }
 
@@ -28,8 +30,12 @@ impl ClusterControl {
     /// Bind the router control listener (port 0 for ephemeral).
     pub fn bind(addr: &str, runtime: Arc<ClusterRuntime>) -> Result<ClusterControl> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(ClusterControl { listener, runtime })
+        let acceptor = runtime.stop_signal().acceptor(&listener)?;
+        Ok(ClusterControl {
+            listener,
+            acceptor,
+            runtime,
+        })
     }
 
     /// The bound control-plane address.
@@ -46,7 +52,8 @@ impl ClusterControl {
     pub fn serve(self) -> Result<()> {
         let rt = &self.runtime;
         serve_loop(
-            &self.listener,
+            self.listener,
+            &self.acceptor,
             &rt.sessions,
             &|| rt.is_stopping(),
             &|request| dispatch(rt, request),

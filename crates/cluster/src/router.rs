@@ -19,19 +19,20 @@
 //! so a shard is just a `datacelld` — in this process or on another host.
 
 use std::collections::HashMap;
-use std::io::{BufRead, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use datacell::frame::{self, WireFormat};
-use datacell::net::parse_row;
 use datacell::partition::Partitioner;
 use dcsql::ast::{CreateKind, Stmt};
+use dcserver::accept::{Acceptor, StopSignal};
 use dcserver::error::{Result, ServerError};
+use dcserver::runtime::{read_stream, read_text_batches, POLL_INTERVAL};
 use dcserver::session::SessionManager;
 use dcserver::stats::StatsReport;
 use dcserver::ServerConfig;
@@ -41,13 +42,11 @@ use parking_lot::{Mutex, RwLock};
 use crate::engines::{ControlPolicy, ShardEngine, ShardSpec};
 use crate::relay::FrameRelay;
 
-/// How long blocking reads/accepts wait before re-checking the stop flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
 /// Upper bound on a subscriber socket write.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Text-ingest batching: split + forward after this many buffered rows.
 const ROUTER_BATCH: usize = 4096;
-/// Batches a shard forwarder queues before the splitter backs off —
+/// Batches a shard forwarder queues before the splitter blocks —
 /// backpressure from a slow shard propagates to the sender's socket.
 const FORWARD_QUEUE_CAP: usize = 64;
 
@@ -191,9 +190,9 @@ pub struct ClusterReceptorPort {
     pub connections: AtomicU64,
     pub accepted: AtomicU64,
     pub rejected: AtomicU64,
-    /// `DETACH RECEPTOR` flips this; the accept loop exits, established
+    /// `DETACH RECEPTOR` closes this: the accept loop exits, established
     /// ingest connections drain until their peers hang up.
-    closed: Arc<AtomicBool>,
+    acceptor: Arc<Acceptor>,
     /// Shard-side binary receptor ports behind this logical port, so
     /// DETACH can close them too — `(engine id, shard port)`, in shard
     /// index order. Behind a mutex: promotion re-points entries at the
@@ -208,9 +207,9 @@ pub struct ClusterEmitterPort {
     pub format: WireFormat,
     pub connections: AtomicU64,
     pub relay: Arc<FrameRelay>,
-    /// `DETACH EMITTER` flips this; existing subscribers keep their
+    /// `DETACH EMITTER` closes this; existing subscribers keep their
     /// streams until the taps see EOF.
-    closed: Arc<AtomicBool>,
+    acceptor: Arc<Acceptor>,
     /// Shard-side emitter ports behind this logical port (re-pointed by
     /// promotion, like the receptor's).
     pub(crate) shard_ports: Mutex<Vec<(usize, u16)>>,
@@ -221,8 +220,7 @@ pub struct ClusterEmitterPort {
 /// trace streams merged line-for-line into every subscriber.
 pub struct ClusterTracePort {
     pub query: String,
-    pub port: u16,
-    closed: Arc<AtomicBool>,
+    acceptor: Arc<Acceptor>,
     relay: Arc<FrameRelay>,
     writers: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -274,7 +272,7 @@ pub struct ClusterRuntime {
     /// Emitter accept loops + shard taps (joined after the engines shut
     /// down, so final results drain through the relays).
     pub(crate) egress_threads: Mutex<Vec<JoinHandle<()>>>,
-    stop: Arc<AtomicBool>,
+    stop: StopSignal,
     /// Set only AFTER the shard engines shut down (and thus flushed
     /// their final results): shard taps must not stop on the earlier
     /// `stop` flag, or tail results racing the shutdown would be lost.
@@ -352,7 +350,7 @@ impl ClusterRuntime {
             trace_ports: Mutex::new(Vec::new()),
             ingress_threads: Mutex::new(Vec::new()),
             egress_threads: Mutex::new(Vec::new()),
-            stop: Arc::new(AtomicBool::new(false)),
+            stop: StopSignal::default(),
             drain_taps: AtomicBool::new(false),
             started_at: Instant::now(),
         });
@@ -373,16 +371,7 @@ impl ClusterRuntime {
         let handle = std::thread::Builder::new()
             .name("dcc-repl".into())
             .spawn(move || {
-                let interval = rt.config.repl_interval;
-                while !rt.is_stopping() {
-                    let mut slept = Duration::ZERO;
-                    while slept < interval && !rt.is_stopping() {
-                        std::thread::sleep(POLL_INTERVAL.min(interval));
-                        slept += POLL_INTERVAL.min(interval);
-                    }
-                    if rt.is_stopping() {
-                        break;
-                    }
+                while !rt.stop.wait_timeout(rt.config.repl_interval) {
                     rt.pump_replication_now();
                 }
             })
@@ -399,16 +388,7 @@ impl ClusterRuntime {
         let handle = std::thread::Builder::new()
             .name("dcc-metrics".into())
             .spawn(move || {
-                let interval = rt.config.engine.metrics_interval;
-                while !rt.is_stopping() {
-                    let mut slept = Duration::ZERO;
-                    while slept < interval && !rt.is_stopping() {
-                        std::thread::sleep(POLL_INTERVAL);
-                        slept += POLL_INTERVAL;
-                    }
-                    if rt.is_stopping() {
-                        break;
-                    }
+                while !rt.stop.wait_timeout(rt.config.engine.metrics_interval) {
                     rt.capture_metrics_now();
                 }
             })
@@ -459,11 +439,17 @@ impl ClusterRuntime {
     }
 
     pub fn is_stopping(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
+        self.stop.is_stopped()
+    }
+
+    /// The stop signal: tripped by [`ClusterRuntime::request_shutdown`];
+    /// acceptors made through it close with it.
+    pub fn stop_signal(&self) -> &StopSignal {
+        &self.stop
     }
 
     pub fn request_shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
+        self.stop.stop();
     }
 
     pub fn uptime(&self) -> Duration {
@@ -912,8 +898,6 @@ impl ClusterRuntime {
         // bind the logical port FIRST: a bad local port (in use,
         // privileged) must fail before any engine-side port is attached
         let listener = TcpListener::bind((self.config.data_host.as_str(), port))?;
-        listener.set_nonblocking(true)?;
-        let bound = listener.local_addr()?.port();
         // shard-side ingest is always binary: the router has columnar
         // batches in hand, whatever the client-facing format. A failure
         // partway through the loop detaches the shard ports already
@@ -932,64 +916,41 @@ impl ClusterRuntime {
                 }
             }
         }
+        let acceptor = self.stop.acceptor(&listener)?;
         let rport = Arc::new(ClusterReceptorPort {
             stream: stream.to_string(),
-            port: bound,
+            port: acceptor.port(),
             format,
             connections: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            closed: Arc::new(AtomicBool::new(false)),
+            acceptor: Arc::clone(&acceptor),
             shard_ports: Mutex::new(shard_ports),
         });
         self.receptors.lock().push(Arc::clone(&rport));
 
         let rt = Arc::clone(self);
-        let accept_port = Arc::clone(&rport);
-        let handle = std::thread::Builder::new()
-            .name(format!("dcc-rcpt-{stream}"))
-            .spawn(move || {
-                let mut conns: Vec<JoinHandle<()>> = Vec::new();
-                while !rt.is_stopping() && !accept_port.closed.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((sock, _peer)) => {
-                            accept_port.connections.fetch_add(1, Ordering::AcqRel);
-                            let rt2 = Arc::clone(&rt);
-                            let port2 = Arc::clone(&accept_port);
-                            let entry2 = Arc::clone(&entry);
-                            // resolve shard addresses per connection, not
-                            // per port: promotion re-points shard_ports at
-                            // the new primary, and connections accepted
-                            // afterwards must ingest there
-                            let addrs: Vec<_> = accept_port
-                                .shard_ports
-                                .lock()
-                                .iter()
-                                .map(|&(eid, p)| rt.engine(eid).data_addr(p))
-                                .collect();
-                            conns.retain(|t| !t.is_finished());
-                            conns.push(
-                                std::thread::Builder::new()
-                                    .name(format!("dcc-rcpt-{}-conn", port2.stream))
-                                    .spawn(move || {
-                                        ingest_connection(&rt2, &port2, &entry2, &addrs, sock)
-                                    })
-                                    .expect("spawn router ingest thread"),
-                            );
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL_INTERVAL);
-                        }
-                        Err(_) => std::thread::sleep(POLL_INTERVAL),
-                    }
-                }
-                for t in conns {
-                    let _ = t.join();
-                }
-            })
-            .expect("spawn router receptor accept thread");
+        let name = format!("dcc-rcpt-{stream}");
+        let handle = acceptor.spawn(name, listener, move |sock, _peer| {
+            rport.connections.fetch_add(1, Ordering::AcqRel);
+            // resolve shard addresses per connection, not per port:
+            // promotion re-points shard_ports at the new primary, and
+            // connections accepted afterwards must ingest there
+            let addrs: Vec<_> = rport
+                .shard_ports
+                .lock()
+                .iter()
+                .map(|&(eid, p)| rt.engine(eid).data_addr(p))
+                .collect();
+            let (rt, rport, entry) = (Arc::clone(&rt), Arc::clone(&rport), Arc::clone(&entry));
+            let conn = std::thread::Builder::new()
+                .name(format!("dcc-rcpt-{}-conn", rport.stream))
+                .spawn(move || ingest_connection(&rt, &rport, &entry, &addrs, sock))
+                .expect("spawn router ingest thread");
+            Some(conn)
+        });
         self.ingress_threads.lock().push(handle);
-        Ok(bound)
+        Ok(acceptor.port())
     }
 
     // ---- results: one logical emitter port ------------------------------
@@ -1013,8 +974,6 @@ impl ClusterRuntime {
         // bind the logical port FIRST (see attach_receptor): local bind
         // failures must not leak engine-side ports or tap threads
         let listener = TcpListener::bind((self.config.data_host.as_str(), port))?;
-        listener.set_nonblocking(true)?;
-        let bound = listener.local_addr()?.port();
         let relay = FrameRelay::new();
         // subscribe to each shard in the *client's* format, so merging is
         // a byte relay — frames are never decoded in the router; attach
@@ -1050,47 +1009,27 @@ impl ClusterRuntime {
                 .map_err(|e| ServerError::Io(format!("spawn shard tap: {e}")))?;
             self.egress_threads.lock().push(tap);
         }
+        let acceptor = self.stop.acceptor(&listener)?;
         let eport = Arc::new(ClusterEmitterPort {
             query: query.to_string(),
-            port: bound,
+            port: acceptor.port(),
             format,
             connections: AtomicU64::new(0),
             relay,
-            closed: Arc::new(AtomicBool::new(false)),
+            acceptor: Arc::clone(&acceptor),
             shard_ports: Mutex::new(shard_ports),
             writers: Mutex::new(Vec::new()),
         });
         self.emitters.lock().push(Arc::clone(&eport));
 
-        let rt = Arc::clone(self);
-        let accept_port = Arc::clone(&eport);
-        let handle = std::thread::Builder::new()
-            .name(format!("dcc-emit-{query}"))
-            .spawn(move || {
-                while !rt.is_stopping() && !accept_port.closed.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((sock, _peer)) => {
-                            accept_port.connections.fetch_add(1, Ordering::AcqRel);
-                            let _ = sock.set_write_timeout(Some(WRITE_TIMEOUT));
-                            let rx = accept_port.relay.subscribe();
-                            let writer = std::thread::Builder::new()
-                                .name(format!("dcc-sub-{}", accept_port.query))
-                                .spawn(move || subscriber_writer(rx, sock))
-                                .expect("spawn subscriber writer");
-                            let mut writers = accept_port.writers.lock();
-                            writers.retain(|w| !w.is_finished());
-                            writers.push(writer);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL_INTERVAL);
-                        }
-                        Err(_) => std::thread::sleep(POLL_INTERVAL),
-                    }
-                }
-            })
-            .expect("spawn router emitter accept thread");
+        let handle = acceptor.spawn(format!("dcc-emit-{query}"), listener, move |sock, _peer| {
+            eport.connections.fetch_add(1, Ordering::AcqRel);
+            let _ = sock.set_write_timeout(Some(WRITE_TIMEOUT));
+            spawn_subscriber(&eport.query, &eport.relay, &eport.writers, sock);
+            None
+        });
         self.egress_threads.lock().push(handle);
-        Ok(bound)
+        Ok(acceptor.port())
     }
 
     // ---- detach: close logical ports + their shard-side ports ------------
@@ -1110,7 +1049,7 @@ impl ClusterRuntime {
                 })?;
             receptors.remove(idx)
         };
-        rport.closed.store(true, Ordering::Release);
+        rport.acceptor.close();
         let mut detached = 0usize;
         for (eid, p) in rport.shard_ports.lock().clone() {
             if self.engine(eid)
@@ -1140,7 +1079,7 @@ impl ClusterRuntime {
                 })?;
             emitters.remove(idx)
         };
-        eport.closed.store(true, Ordering::Release);
+        eport.acceptor.close();
         let mut detached = 0usize;
         for (eid, p) in eport.shard_ports.lock().clone() {
             if self.engine(eid)
@@ -1337,8 +1276,6 @@ impl ClusterRuntime {
         // bind the logical port FIRST (see attach_emitter): local bind
         // failures must not leak shard-side taps
         let listener = TcpListener::bind((self.config.data_host.as_str(), 0))?;
-        listener.set_nonblocking(true)?;
-        let bound = listener.local_addr()?.port();
         let relay = FrameRelay::new();
         let mut shard_socks = Vec::with_capacity(entry.engines.len());
         for &eid in &entry.engines {
@@ -1355,43 +1292,23 @@ impl ClusterRuntime {
                 .map_err(|e| ServerError::Io(format!("spawn trace tap: {e}")))?;
             self.egress_threads.lock().push(tap);
         }
+        let acceptor = self.stop.acceptor(&listener)?;
         let tport = Arc::new(ClusterTracePort {
             query: query.to_string(),
-            port: bound,
-            closed: Arc::new(AtomicBool::new(false)),
+            acceptor: Arc::clone(&acceptor),
             relay,
             writers: Mutex::new(Vec::new()),
         });
         self.trace_ports.lock().push(Arc::clone(&tport));
 
-        let rt = Arc::clone(self);
-        let accept_port = Arc::clone(&tport);
-        let handle = std::thread::Builder::new()
-            .name(format!("dcc-trace-{query}"))
-            .spawn(move || {
-                while !rt.is_stopping() && !accept_port.closed.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((sock, _peer)) => {
-                            let _ = sock.set_write_timeout(Some(WRITE_TIMEOUT));
-                            let rx = accept_port.relay.subscribe();
-                            let writer = std::thread::Builder::new()
-                                .name(format!("dcc-trace-sub-{}", accept_port.query))
-                                .spawn(move || subscriber_writer(rx, sock))
-                                .expect("spawn trace subscriber writer");
-                            let mut writers = accept_port.writers.lock();
-                            writers.retain(|w| !w.is_finished());
-                            writers.push(writer);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL_INTERVAL);
-                        }
-                        Err(_) => std::thread::sleep(POLL_INTERVAL),
-                    }
-                }
-            })
-            .expect("spawn router trace accept thread");
+        let name = format!("dcc-trace-{query}");
+        let handle = acceptor.spawn(name, listener, move |sock, _peer| {
+            let _ = sock.set_write_timeout(Some(WRITE_TIMEOUT));
+            spawn_subscriber(&tport.query, &tport.relay, &tport.writers, sock);
+            None
+        });
         self.egress_threads.lock().push(handle);
-        Ok(bound)
+        Ok(acceptor.port())
     }
 
     /// `TRACE QUERY <q> OFF`: close the shard-side taps (their streams
@@ -1412,7 +1329,7 @@ impl ClusterRuntime {
         }
         let mut ports = self.trace_ports.lock();
         for p in ports.iter().filter(|p| p.query == query) {
-            p.closed.store(true, Ordering::Release);
+            p.acceptor.close();
             p.relay.close();
         }
         ports.retain(|p| p.query != query);
@@ -1645,7 +1562,7 @@ impl ClusterRuntime {
         }
         // 3. shard taps see EOF and publish their final chunks (the
         //    drain flag releases taps on remote engines that never
-        //    close); emitter accept loops observe the stop flag
+        //    close); emitter accept loops closed with the stop signal
         self.drain_taps.store(true, Ordering::Release);
         for t in std::mem::take(&mut *self.egress_threads.lock()) {
             let _ = t.join();
@@ -1665,7 +1582,6 @@ impl ClusterRuntime {
         }
         let tports: Vec<Arc<ClusterTracePort>> = self.trace_ports.lock().clone();
         for tport in &tports {
-            tport.closed.store(true, Ordering::Release);
             tport.relay.close();
         }
         for tport in &tports {
@@ -1745,18 +1661,16 @@ struct TracedRel {
     enqueued_micros: u64,
 }
 
-/// Sending half of one shard forwarder: the queue plus a liveness flag
-/// (the queue length never drains once the forwarder thread dies, so
-/// depth alone cannot signal "gone").
+/// Sending half of one shard forwarder: a bounded queue (sends fail once
+/// the forwarder thread is gone and its receiver dropped).
 struct Forwarder {
     tx: Sender<TracedRel>,
-    dead: Arc<AtomicBool>,
     probe: Option<Arc<ForwardProbe>>,
 }
 
 /// Router-side telemetry for one shard forwarder queue: counts (and
-/// records in the flight recorder) episodes where the splitter backed
-/// off on a full queue — the slow-shard signal.
+/// records in the flight recorder) episodes where the splitter blocked
+/// on a full queue — the slow-shard signal.
 struct ForwardProbe {
     stream: String,
     shard: usize,
@@ -1805,12 +1719,7 @@ impl ForwardProbe {
 /// Forward sub-batches to one shard engine as binary frames; sampled
 /// batches keep their trace header on the shard-bound frame, so the
 /// shard's receptor continues the same span tree.
-fn shard_forwarder(
-    rx: Receiver<TracedRel>,
-    sock: TcpStream,
-    dead: Arc<AtomicBool>,
-    probe: Option<Arc<ForwardProbe>>,
-) {
+fn shard_forwarder(rx: Receiver<TracedRel>, sock: TcpStream, probe: Option<Arc<ForwardProbe>>) {
     let mut writer = std::io::BufWriter::new(sock);
     let mut buf: Vec<u8> = Vec::new();
     while let Ok(item) = rx.recv() {
@@ -1833,36 +1742,31 @@ fn shard_forwarder(
         }
     }
     let _ = writer.flush();
-    dead.store(true, Ordering::Release);
 }
 
-/// Send one sub-batch to a shard forwarder, backing off while its queue
-/// is deep (poor-man's bounded channel: backpressure reaches the
-/// client's socket through this thread). Returns false when the
-/// forwarder is gone or the router is stopping.
-fn forward(rt: &ClusterRuntime, f: &Forwarder, item: TracedRel) -> bool {
-    if f.tx.len() >= FORWARD_QUEUE_CAP {
-        // one saturation event per back-off episode, not per poll
-        if let Some(p) = &f.probe {
-            p.note_saturation();
-        }
-        while f.tx.len() >= FORWARD_QUEUE_CAP {
-            if rt.is_stopping() || f.dead.load(Ordering::Acquire) {
-                return false;
+/// Send one sub-batch to a shard forwarder, blocking while its queue is
+/// full (backpressure reaches the client's socket through this thread).
+/// Returns false when the forwarder is gone.
+fn forward(f: &Forwarder, item: TracedRel) -> bool {
+    match f.tx.try_send(item) {
+        Ok(()) => true,
+        Err(TrySendError::Full(item)) => {
+            // one saturation event per full-queue episode
+            if let Some(p) = &f.probe {
+                p.note_saturation();
             }
-            std::thread::sleep(Duration::from_millis(1));
+            f.tx.send(item).is_ok()
         }
+        Err(TrySendError::Disconnected(_)) => false,
     }
-    f.tx.send(item).is_ok()
 }
 
 /// Split one decoded batch and forward the non-empty parts. Returns
-/// false when a shard forwarder is gone (or the router is stopping): the
-/// caller must then drop the client connection, so the sender's next
-/// write fails — as it would against a dead single engine — instead of
-/// tuples black-holing for one shard while the socket looks healthy.
+/// false when a shard forwarder is gone: the caller must then drop the
+/// client connection, so the sender's next write fails — as it would
+/// against a dead single engine — instead of tuples black-holing for one
+/// shard while the socket looks healthy.
 fn route_batch(
-    rt: &ClusterRuntime,
     port: &ClusterReceptorPort,
     entry: &StreamEntry,
     txs: &[Forwarder],
@@ -1871,58 +1775,37 @@ fn route_batch(
 ) -> bool {
     let total = rel.len() as u64;
     let mut sent = 0u64;
-    let mut alive = true;
     let enqueued_micros = if trace.is_some() {
         dctrace::now_micros()
     } else {
         0
     };
-    match &entry.partitioner {
-        None => {
-            if forward(
-                rt,
-                &txs[0],
-                TracedRel {
-                    rel,
-                    trace,
-                    enqueued_micros,
-                },
-            ) {
-                sent = total;
-            } else {
-                alive = false;
-            }
+    // a split failure is structural (schema/key drift), not a bad row:
+    // per the contract above, drop the connection rather than silently
+    // rejecting every batch from now on
+    let parts = match &entry.partitioner {
+        None => Ok(vec![rel]),
+        Some(p) => p.split(&rel),
+    };
+    let mut alive = parts.is_ok();
+    for (i, part) in parts.unwrap_or_default().into_iter().enumerate() {
+        if part.is_empty() {
+            continue;
         }
-        Some(p) => match p.split(&rel) {
-            Ok(parts) => {
-                for (i, part) in parts.into_iter().enumerate() {
-                    if part.is_empty() {
-                        continue;
-                    }
-                    let n = part.len() as u64;
-                    // every non-empty part of a sampled batch carries
-                    // the same batch id: the shard-side spans of one
-                    // logical batch regroup under one tree
-                    if forward(
-                        rt,
-                        &txs[i],
-                        TracedRel {
-                            rel: part,
-                            trace,
-                            enqueued_micros,
-                        },
-                    ) {
-                        sent += n;
-                    } else {
-                        alive = false;
-                    }
-                }
-            }
-            // a split failure is structural (schema/key drift), not a
-            // bad row: per the contract above, drop the connection
-            // rather than silently rejecting every batch from now on
-            Err(_) => alive = false,
-        },
+        let n = part.len() as u64;
+        // every non-empty part of a sampled batch carries the same batch
+        // id: the shard-side spans of one logical batch regroup under one
+        // tree
+        let item = TracedRel {
+            rel: part,
+            trace,
+            enqueued_micros,
+        };
+        if forward(&txs[i], item) {
+            sent += n;
+        } else {
+            alive = false;
+        }
     }
     port.accepted.fetch_add(sent, Ordering::AcqRel);
     port.rejected.fetch_add(total - sent, Ordering::AcqRel);
@@ -1953,18 +1836,16 @@ fn ingest_connection(
         let Ok(shard_sock) = TcpStream::connect(addr) else {
             return; // shard unreachable: refuse the connection outright
         };
-        let (tx, rx) = unbounded::<TracedRel>();
-        let dead = Arc::new(AtomicBool::new(false));
-        let dead2 = Arc::clone(&dead);
+        let (tx, rx) = bounded::<TracedRel>(FORWARD_QUEUE_CAP);
         let probe = ForwardProbe::new(&rt.telemetry, &port.stream, shard);
         let probe2 = probe.clone();
         forwarders.push(
             std::thread::Builder::new()
                 .name(format!("dcc-fwd-{}", port.stream))
-                .spawn(move || shard_forwarder(rx, shard_sock, dead2, probe2))
+                .spawn(move || shard_forwarder(rx, shard_sock, probe2))
                 .expect("spawn shard forwarder"),
         );
-        txs.push(Forwarder { tx, dead, probe });
+        txs.push(Forwarder { tx, probe });
     }
     match port.format {
         WireFormat::Text => ingest_text(rt, port, entry, &txs, sock),
@@ -1976,7 +1857,8 @@ fn ingest_connection(
     }
 }
 
-/// Text ingest: batch wire lines, then split columnar.
+/// Text ingest: batch wire lines as the engine's receptor does, then
+/// split columnar.
 fn ingest_text(
     rt: &ClusterRuntime,
     port: &ClusterReceptorPort,
@@ -1984,77 +1866,33 @@ fn ingest_text(
     txs: &[Forwarder],
     sock: TcpStream,
 ) {
-    let _ = sock.set_read_timeout(Some(POLL_INTERVAL));
-    let mut reader = std::io::BufReader::new(sock);
-    let mut line = String::new();
-    let mut batch = Relation::new(&entry.schema);
-    let mut eof = false;
-    while !eof {
-        loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => {
-                    eof = true;
-                    break;
-                }
-                Ok(_) => {
-                    let trimmed = line.trim_end_matches(['\n', '\r']);
-                    if !trimmed.is_empty() {
-                        match parse_row(trimmed, &entry.schema) {
-                            Ok(row) => {
-                                if batch.append_row(&row).is_err() {
-                                    port.rejected.fetch_add(1, Ordering::AcqRel);
-                                }
-                            }
-                            Err(_) => {
-                                port.rejected.fetch_add(1, Ordering::AcqRel);
-                            }
-                        }
-                    }
-                    line.clear();
-                    if batch.len() >= ROUTER_BATCH {
-                        break;
-                    }
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if rt.is_stopping() {
-                        eof = true;
-                    }
-                    break;
-                }
-                Err(_) => {
-                    eof = true;
-                    break;
-                }
+    let flush = |rows: Vec<Vec<Value>>| {
+        let mut batch = Relation::new(&entry.schema);
+        for row in &rows {
+            if batch.append_row(row).is_err() {
+                port.rejected.fetch_add(1, Ordering::AcqRel);
             }
         }
-        if !batch.is_empty() {
-            let full = std::mem::replace(&mut batch, Relation::new(&entry.schema));
-            // text clients carry no trace headers: the router is the
-            // sampling entry point for their batches
-            let trace = rt.telemetry.maybe_sample().map(|b| frame::TraceHeader {
-                batch: b,
-                origin_micros: dctrace::now_micros(),
-            });
-            if let Some(t) = &trace {
-                rt.telemetry.span(
-                    "receptor",
-                    t.batch,
-                    None,
-                    0,
-                    &format!("stream={} rows={}", port.stream, full.len()),
-                );
-            }
-            if !route_batch(rt, port, entry, txs, full, trace) {
-                break; // shard gone: drop the client connection
-            }
+        // text clients carry no trace headers: the router is the
+        // sampling entry point for their batches
+        let trace = rt.telemetry.maybe_sample().map(|b| frame::TraceHeader {
+            batch: b,
+            origin_micros: dctrace::now_micros(),
+        });
+        if let Some(t) = &trace {
+            rt.telemetry.span(
+                "receptor",
+                t.batch,
+                None,
+                0,
+                &format!("stream={} rows={}", port.stream, batch.len()),
+            );
         }
-        if rt.is_stopping() {
-            break;
-        }
-    }
+        // false = shard gone: drop the client connection
+        route_batch(port, entry, txs, batch, trace)
+    };
+    let (schema, stop) = (&entry.schema, || rt.is_stopping());
+    read_text_batches(sock, schema, ROUTER_BATCH, &port.rejected, stop, flush);
 }
 
 /// Binary ingest: peel complete frames, split each columnar.
@@ -2063,21 +1901,9 @@ fn ingest_binary(
     port: &ClusterReceptorPort,
     entry: &StreamEntry,
     txs: &[Forwarder],
-    mut sock: TcpStream,
+    sock: TcpStream,
 ) {
-    let _ = sock.set_read_timeout(Some(POLL_INTERVAL));
-    let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 64 * 1024];
-    let mut eof = false;
-    while !eof {
-        match sock.read(&mut chunk) {
-            Ok(0) => eof = true,
-            Ok(n) => pending.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => eof = true,
-        }
+    let consume = |pending: &[u8]| {
         let mut consumed = 0usize;
         loop {
             let decode_started = Instant::now();
@@ -2101,27 +1927,20 @@ fn ingest_binary(
                             &format!("stream={} rows={}", port.stream, rel.len()),
                         );
                     }
-                    if !route_batch(rt, port, entry, txs, rel, trace) {
-                        eof = true; // shard gone: drop the client connection
-                        break;
+                    if !route_batch(port, entry, txs, rel, trace) {
+                        return None; // shard gone: drop the client connection
                     }
                 }
-                Ok(None) => break,
+                Ok(None) => return Some(consumed),
                 Err(_) => {
                     // corrupt stream: count one reject, drop the peer
                     port.rejected.fetch_add(1, Ordering::AcqRel);
-                    eof = true;
-                    break;
+                    return None;
                 }
             }
         }
-        if consumed > 0 {
-            pending.drain(..consumed);
-        }
-        if rt.is_stopping() {
-            break;
-        }
-    }
+    };
+    read_stream(sock, || rt.is_stopping(), consume);
 }
 
 /// Single-shard binary ingest: peel complete frames off the client
@@ -2130,55 +1949,40 @@ fn ingest_binary(
 fn ingest_binary_passthrough(
     rt: &ClusterRuntime,
     port: &ClusterReceptorPort,
-    mut sock: TcpStream,
+    sock: TcpStream,
     shard_sock: TcpStream,
 ) {
-    let _ = sock.set_read_timeout(Some(POLL_INTERVAL));
     let mut writer = std::io::BufWriter::new(shard_sock);
-    let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 64 * 1024];
-    let mut eof = false;
-    while !eof {
-        match sock.read(&mut chunk) {
-            Ok(0) => eof = true,
-            Ok(n) => pending.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => eof = true,
-        }
-        let mut consumed = 0usize;
-        let mut rows = 0u64;
-        loop {
+    let consume = |pending: &[u8]| {
+        let (mut consumed, mut rows) = (0usize, 0u64);
+        let intact = loop {
             match frame::frame_meta(&pending[consumed..]) {
                 Ok(Some((total, n))) => {
                     consumed += total;
                     rows += n;
                 }
-                Ok(None) => break,
+                Ok(None) => break true,
                 Err(_) => {
                     // corrupt stream: count one reject, drop the peer
+                    // after relaying the frames before it
                     port.rejected.fetch_add(1, Ordering::AcqRel);
-                    eof = true;
-                    break;
+                    break false;
                 }
             }
-        }
+        };
         if consumed > 0 {
             if writer
                 .write_all(&pending[..consumed])
                 .and_then(|()| writer.flush())
                 .is_err()
             {
-                break; // shard gone: drop the client connection
+                return None; // shard gone: drop the client connection
             }
             port.accepted.fetch_add(rows, Ordering::AcqRel);
-            pending.drain(..consumed);
         }
-        if rt.is_stopping() {
-            break;
-        }
-    }
+        intact.then_some(consumed)
+    };
+    read_stream(sock, || rt.is_stopping(), consume);
     let _ = writer.flush();
 }
 
@@ -2251,6 +2055,24 @@ pub(crate) fn shard_tap(
             return;
         }
     }
+}
+
+/// Start a writer thread relaying `relay` into one subscriber socket,
+/// tracked in `writers` for the shutdown join.
+fn spawn_subscriber(
+    query: &str,
+    relay: &FrameRelay,
+    writers: &Mutex<Vec<JoinHandle<()>>>,
+    sock: TcpStream,
+) {
+    let rx = relay.subscribe();
+    let writer = std::thread::Builder::new()
+        .name(format!("dcc-sub-{query}"))
+        .spawn(move || subscriber_writer(rx, sock))
+        .expect("spawn subscriber writer");
+    let mut writers = writers.lock();
+    writers.retain(|w| !w.is_finished());
+    writers.push(writer);
 }
 
 /// Write relayed chunks to one subscriber socket.

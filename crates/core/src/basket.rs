@@ -13,9 +13,14 @@
 //!   concurrent access is regulated by the basket lock;
 //! * **Basket control** — a disabled basket blocks its stream: appends are
 //!   rejected until re-enabled.
+//!
+//! As a Petri-net place, a basket wakes the threads parked on it
+//! ([`Basket::watch`]) on every change that can flip their condition, so
+//! factory threads and blocked feeders never poll.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 
 use dctrace::BasketProbe;
 
@@ -309,6 +314,38 @@ pub struct Basket {
     /// construction — and after WAL replay, so recovered batches are not
     /// re-logged. Absent on ordinary transient baskets.
     persist: OnceLock<Arc<dyn StreamPersist>>,
+    /// Threads to unpark on every change ([`Basket::watch`]).
+    watchers: Mutex<Vec<Thread>>,
+    /// Live [`Basket::hold_appends`] guards; appends skip their wake-up
+    /// while any is held.
+    holds: AtomicUsize,
+}
+
+/// A thread's registration on a basket's change notifications; dropping
+/// it unregisters. See [`Basket::watch`].
+pub struct Watch<'a> {
+    basket: &'a Basket,
+    thread: std::thread::ThreadId,
+}
+
+/// Holds a basket's append wake-ups until dropped; see
+/// [`Basket::hold_appends`].
+pub struct AppendHold<'a>(&'a Basket);
+
+impl Drop for AppendHold<'_> {
+    fn drop(&mut self) {
+        self.0.holds.fetch_sub(1, Ordering::SeqCst);
+        self.0.notify();
+    }
+}
+
+impl Drop for Watch<'_> {
+    fn drop(&mut self) {
+        let mut watchers = self.basket.watchers.lock();
+        if let Some(i) = watchers.iter().position(|t| t.id() == self.thread) {
+            watchers.swap_remove(i);
+        }
+    }
 }
 
 impl std::fmt::Debug for Basket {
@@ -353,7 +390,47 @@ impl Basket {
             stats: BasketStats::default(),
             probe: OnceLock::new(),
             persist: OnceLock::new(),
+            watchers: Mutex::new(Vec::new()),
+            holds: AtomicUsize::new(0),
         })
+    }
+
+    // ---- change notification -------------------------------------------------
+
+    /// Register the calling thread to be unparked on every change to this
+    /// basket, until the returned guard drops. The protocol is *register,
+    /// check, park*: a change landing between the check and
+    /// [`std::thread::park`] leaves the thread's unpark token set, so
+    /// the park returns at once and the wake-up is never lost.
+    pub fn watch(&self) -> Watch<'_> {
+        let thread = std::thread::current();
+        let id = thread.id();
+        self.watchers.lock().push(thread);
+        Watch {
+            basket: self,
+            thread: id,
+        }
+    }
+
+    /// Unpark every watching thread so it re-checks its condition. Every
+    /// mutation calls this itself; call it directly when a condition a
+    /// watcher reads changed outside the basket (a ready gate's flag, a
+    /// capacity waiter's abort flag).
+    pub fn notify(&self) {
+        for t in self.watchers.lock().iter() {
+            t.unpark();
+        }
+    }
+
+    /// Hold back the wake-ups of appends until the guard drops, which
+    /// wakes the watchers once — for a feeder landing a burst of batches
+    /// (every frame of one socket read), so factories fire once per burst
+    /// rather than once per batch. Every release wakes, so an append
+    /// landing during any hold is announced late, never lost. Other
+    /// changes (deletes, enable/disable) still wake at once.
+    pub fn hold_appends(&self) -> AppendHold<'_> {
+        self.holds.fetch_add(1, Ordering::SeqCst);
+        AppendHold(self)
     }
 
     /// Attach the telemetry probe (idempotent; first caller wins).
@@ -427,10 +504,12 @@ impl Basket {
     /// Block the stream: subsequent appends are rejected.
     pub fn disable(&self) {
         self.enabled.store(false, Ordering::Release);
+        self.notify();
     }
 
     pub fn enable(&self) {
         self.enabled.store(true, Ordering::Release);
+        self.notify();
     }
 
     // ---- backpressure -------------------------------------------------------
@@ -439,6 +518,7 @@ impl Basket {
     /// should stop appending; 0 removes the cap.
     pub fn set_pending_cap(&self, cap: usize) {
         self.pending_cap.store(cap, Ordering::Release);
+        self.notify();
     }
 
     /// The configured pending cap (0 = unbounded).
@@ -482,6 +562,8 @@ impl Basket {
                 p.note_compaction(rows);
             }
         }
+        drop(inner);
+        self.notify();
     }
 
     fn maybe_compact(&self, inner: &mut BasketInner) {
@@ -507,24 +589,33 @@ impl Basket {
     }
 
     /// Block until the basket drains below its cap (receptor
-    /// backpressure). Polls; `abort` is checked each round so server
-    /// shutdown can interrupt a blocked feeder, and a *disabled* basket
-    /// always aborts the wait — `disable()` is the caller-independent
-    /// lever to unwedge a blocked feeder whose consumer died. Returns
-    /// `false` when aborted, `true` when capacity is available.
+    /// backpressure). The caller [watches](Basket::watch) the basket and
+    /// parks; every change (a consuming delete, a drain, a cap change,
+    /// `disable()`) unparks it to re-check. A *disabled* basket always
+    /// aborts the wait — `disable()` is the caller-independent lever to
+    /// unwedge a blocked feeder whose consumer died. `abort` is re-checked
+    /// on each wake-up, so whoever flips it (server shutdown) must
+    /// [`Basket::notify`] afterwards. Returns `false` when aborted, `true`
+    /// when capacity is available.
     pub fn wait_for_capacity(&self, abort: impl Fn() -> bool) -> bool {
         if self.has_capacity() {
             return true;
         }
         let started = std::time::Instant::now();
+        let _watch = self.watch();
+        if self.holds.load(Ordering::SeqCst) > 0 {
+            // the consumer this feeder waits for may be parked on appends
+            // the feeder itself holds back
+            self.notify();
+        }
         let ok = loop {
-            if abort() || !self.is_enabled() {
-                break false;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
             if self.has_capacity() {
                 break true;
             }
+            if !self.is_enabled() || abort() {
+                break false;
+            }
+            std::thread::park();
         };
         if let Some(p) = self.probe() {
             p.note_backpressure(started.elapsed().as_micros() as u64);
@@ -599,20 +690,7 @@ impl Basket {
     /// case arrival timestamps are added.
     pub fn append_relation(&self, batch: Relation, clock: &dyn Clock) -> Result<usize> {
         let (accepted, uniform_ts) = self.prepare_batch(batch, clock)?;
-        let n = accepted.len();
-        if n > 0 {
-            let mut inner = self.inner.lock();
-            self.log_accepted(&accepted, uniform_ts)?;
-            inner.rel.append_relation(&accepted)?;
-            inner.note_append(n);
-            self.stats.total_in.fetch_add(n as u64, Ordering::Relaxed);
-            self.note_high_water(inner.live_len());
-            if let Some(p) = self.probe() {
-                p.note_append(n);
-            }
-            self.maybe_seal(&mut inner)?;
-        }
-        Ok(n)
+        self.commit(&accepted, uniform_ts)
     }
 
     /// Append through an already-held guard (factory firing path, where
@@ -624,10 +702,36 @@ impl Basket {
         clock: &dyn Clock,
     ) -> Result<usize> {
         let (accepted, uniform_ts) = self.prepare_batch(batch, clock)?;
+        let appended = self.commit_locked(inner, &accepted, uniform_ts);
+        self.notify();
+        appended
+    }
+
+    /// Append accepted rows under the lock, then wake the watchers once
+    /// it is released (a woken factory finds the basket free).
+    fn commit(&self, accepted: &Relation, uniform_ts: Option<i64>) -> Result<usize> {
+        if accepted.is_empty() {
+            return Ok(0);
+        }
+        let appended = self.commit_locked(&mut self.inner.lock(), accepted, uniform_ts);
+        if self.holds.load(Ordering::SeqCst) == 0 {
+            self.notify();
+        }
+        appended
+    }
+
+    /// WAL, append and count accepted rows through the held lock.
+    fn commit_locked(
+        &self,
+        inner: &mut BasketInner,
+        accepted: &Relation,
+        uniform_ts: Option<i64>,
+    ) -> Result<usize> {
         let n = accepted.len();
         if n > 0 {
-            self.log_accepted(&accepted, uniform_ts)?;
-            inner.rel.append_relation(&accepted)?;
+            self.log_accepted(accepted, uniform_ts)?;
+            // positional compatibility was validated by the caller
+            inner.rel.append_relation(accepted)?;
             inner.note_append(n);
             self.stats.total_in.fetch_add(n as u64, Ordering::Relaxed);
             self.note_high_water(inner.live_len());
@@ -678,21 +782,7 @@ impl Basket {
             return Err(EngineError::Disabled(self.name.clone()));
         }
         let accepted = self.filter_constraints(batch)?;
-        let n = accepted.len();
-        if n > 0 {
-            let mut inner = self.inner.lock();
-            self.log_accepted(&accepted, uniform_ts)?;
-            // positional compatibility was just validated
-            inner.rel.append_relation(&accepted)?;
-            inner.note_append(n);
-            self.stats.total_in.fetch_add(n as u64, Ordering::Relaxed);
-            self.note_high_water(inner.live_len());
-            if let Some(p) = self.probe() {
-                p.note_append(n);
-            }
-            self.maybe_seal(&mut inner)?;
-        }
-        Ok(n)
+        self.commit(&accepted, uniform_ts)
     }
 
     // ---- durability ---------------------------------------------------------
@@ -743,6 +833,7 @@ impl Basket {
             inner.deleted_count = 0;
             inner.live_cache = None;
             inner.delete_gen += 1;
+            self.notify();
         }
         if n > 0 {
             self.stats.total_out.fetch_add(n as u64, Ordering::Relaxed);
@@ -824,6 +915,7 @@ impl Basket {
                 // "whole batch referenced" firing)
                 inner.rel.clear();
                 inner.delete_gen += 1;
+                self.notify();
                 return Ok(());
             }
             None => {
@@ -846,6 +938,7 @@ impl Basket {
         }
         inner.delete_gen += 1;
         self.maybe_compact(inner);
+        self.notify();
         Ok(())
     }
 
@@ -875,6 +968,7 @@ impl Basket {
             if let Some(p) = self.probe() {
                 p.take_watermark();
             }
+            self.notify();
         }
         self.stats.total_out.fetch_add(n as u64, Ordering::Relaxed);
         full

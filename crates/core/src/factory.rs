@@ -110,6 +110,21 @@ pub trait Factory: Send {
         1
     }
 
+    /// Every basket whose change can flip [`Factory::ready`]. A threaded
+    /// scheduler parks the factory's thread until one of them changes, so
+    /// a readiness condition reading a basket not listed here can miss
+    /// its wake-up. Default: the inputs.
+    fn wakers(&self) -> Vec<Arc<Basket>> {
+        self.inputs().to_vec()
+    }
+
+    /// For readiness that also depends on time (metronomes): the longest
+    /// a parked thread may wait before re-checking [`Factory::ready`].
+    /// `None` (the default) means only basket changes flip readiness.
+    fn recheck_after(&self) -> Option<std::time::Duration> {
+        None
+    }
+
     /// Execute one firing. Must be a no-op returning a default report if
     /// inputs vanished between `ready()` and `fire()`.
     fn fire(&mut self) -> Result<FireReport>;
@@ -576,6 +591,10 @@ impl Factory for QueryFactory {
         self.min_input
     }
 
+    fn wakers(&self) -> Vec<Arc<Basket>> {
+        self.inputs.iter().chain(&self.reads).cloned().collect()
+    }
+
     fn ready(&self) -> bool {
         if !self.inputs.is_empty() {
             return self.inputs.iter().all(|b| b.len() >= self.min_input);
@@ -792,6 +811,8 @@ pub struct ClosureFactory {
     outputs: Vec<Arc<Basket>>,
     min_input: usize,
     ready_fn: Option<Box<dyn Fn() -> bool + Send>>,
+    /// Baskets a custom ready gate reads besides the inputs.
+    watched: Vec<Arc<Basket>>,
     fire_fn: Box<dyn FnMut() -> Result<FireReport> + Send>,
 }
 
@@ -808,6 +829,7 @@ impl ClosureFactory {
             outputs,
             min_input: 1,
             ready_fn: None,
+            watched: Vec::new(),
             fire_fn: Box::new(fire_fn),
         }
     }
@@ -817,9 +839,15 @@ impl ClosureFactory {
         self
     }
 
-    /// Override the firing condition entirely.
-    pub fn with_ready(mut self, f: impl Fn() -> bool + Send + 'static) -> Self {
+    /// Override the firing condition entirely. `reads` names every
+    /// basket the gate reads besides the inputs (see [`Factory::wakers`]).
+    pub fn with_ready(
+        mut self,
+        reads: Vec<Arc<Basket>>,
+        f: impl Fn() -> bool + Send + 'static,
+    ) -> Self {
         self.ready_fn = Some(Box::new(f));
+        self.watched = reads;
         self
     }
 }
@@ -839,6 +867,10 @@ impl Factory for ClosureFactory {
 
     fn min_input(&self) -> usize {
         self.min_input
+    }
+
+    fn wakers(&self) -> Vec<Arc<Basket>> {
+        self.inputs.iter().chain(&self.watched).cloned().collect()
     }
 
     fn ready(&self) -> bool {
@@ -1127,7 +1159,7 @@ mod tests {
         assert_eq!(output.len(), 1);
 
         let always = ClosureFactory::new("gen", vec![], vec![], || Ok(FireReport::default()))
-            .with_ready(|| true);
+            .with_ready(vec![], || true);
         assert!(always.ready());
     }
 

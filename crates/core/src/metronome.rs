@@ -6,6 +6,7 @@
 //! epoch without real traffic gets a null-payload filler tuple.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use monet::prelude::*;
 
@@ -69,6 +70,12 @@ impl Factory for Metronome {
     /// implicit input place is time itself).
     fn ready(&self) -> bool {
         self.clock.now() >= self.next_tick
+    }
+
+    fn recheck_after(&self) -> Option<Duration> {
+        Some(Duration::from_micros(
+            (self.next_tick - self.clock.now()).max(0) as u64,
+        ))
     }
 
     fn fire(&mut self) -> Result<FireReport> {
@@ -141,6 +148,12 @@ impl Factory for Heartbeat {
 
     fn ready(&self) -> bool {
         self.clock.now() >= self.next_epoch
+    }
+
+    fn recheck_after(&self) -> Option<Duration> {
+        Some(Duration::from_micros(
+            (self.next_epoch - self.clock.now()).max(0) as u64,
+        ))
     }
 
     fn fire(&mut self) -> Result<FireReport> {

@@ -11,7 +11,6 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use petri::{Marking, Net, PlaceId};
@@ -206,90 +205,74 @@ impl Scheduler {
 /// Factories can be added dynamically while the deployment runs — the
 /// `datacelld` server registers continuous queries at any point in the
 /// server's lifetime and hands each new factory to the live scheduler.
+#[derive(Default)]
 pub struct ThreadedScheduler {
     stop: Arc<AtomicBool>,
     handles: Vec<std::thread::JoinHandle<FactoryStats>>,
-    idle_backoff: Duration,
 }
 
 impl ThreadedScheduler {
-    /// An empty deployment; factories are added with [`ThreadedScheduler::add`].
+    /// An empty deployment; factories are added with
+    /// [`ThreadedScheduler::add_shared`].
     pub fn new() -> Self {
-        Self::with_backoff(Duration::from_micros(50))
+        ThreadedScheduler::default()
     }
 
-    pub fn with_backoff(idle_backoff: Duration) -> Self {
-        ThreadedScheduler {
-            stop: Arc::new(AtomicBool::new(false)),
-            handles: Vec::new(),
-            idle_backoff,
-        }
-    }
-
-    /// Spawn one thread per factory. Each thread loops: fire when ready,
-    /// otherwise back off briefly — the multi-threaded architecture of
-    /// §3.3 ("every single component is an independent thread").
+    /// Spawn one thread per factory — the multi-threaded architecture of
+    /// §3.3 ("every single component is an independent thread"). Each
+    /// thread fires its transition when the input places hold tokens and
+    /// otherwise blocks: it [watches](Basket::watch) every basket in
+    /// [`Factory::wakers`], then loops `if ready() { fire } else { park }`.
+    /// Any basket change that can flip readiness unparks it, and the
+    /// unpark token covers a change landing between `ready()` and
+    /// `park()`. A firing that neither consumed nor produced (tokens it
+    /// will never take, e.g. a selective predicate's residue) parks too.
     pub fn spawn(factories: Vec<Box<dyn Factory>>) -> Self {
-        Self::spawn_with_backoff(factories, Duration::from_micros(50))
-    }
-
-    pub fn spawn_with_backoff(factories: Vec<Box<dyn Factory>>, idle_backoff: Duration) -> Self {
-        let mut sched = Self::with_backoff(idle_backoff);
+        let mut sched = Self::new();
         for f in factories {
-            sched.add(f);
+            sched.add_shared(f);
         }
         sched
     }
 
-    /// Add a factory to the running deployment (its thread starts at once).
-    pub fn add(&mut self, factory: Box<dyn Factory>) {
-        self.add_shared(factory);
-    }
-
-    /// Add a factory and get a live handle to its cumulative stats — the
+    /// Add a factory to the running deployment (its thread starts at
+    /// once) and get a live handle to its cumulative stats — the
     /// server's `STATS` command reads these while the threads run.
     pub fn add_shared(&mut self, mut f: Box<dyn Factory>) -> Arc<Mutex<FactoryStats>> {
         let shared = Arc::new(Mutex::new(FactoryStats::default()));
         let live = Arc::clone(&shared);
         let stop = Arc::clone(&self.stop);
-        let idle_backoff = self.idle_backoff;
         self.handles.push(std::thread::spawn(move || {
-            while !stop.load(Ordering::Acquire) {
-                if f.ready() {
-                    match f.fire() {
+            let wakers = f.wakers();
+            let _watches: Vec<_> = wakers.iter().map(|b| b.watch()).collect();
+            loop {
+                // read the flag before `ready()`: a stop landing after it
+                // finds the thread parked and unparks it
+                let stopping = stop.load(Ordering::Acquire);
+                let progressed = f.ready()
+                    && match f.fire() {
                         Ok(r) => {
                             shared.lock().absorb(&r);
-                            // a firing that neither consumed nor produced
-                            // left only tokens it will never take (e.g. a
-                            // selective inner predicate's residue) — back
-                            // off instead of spinning on them
-                            if r.consumed == 0 && r.produced == 0 {
-                                std::thread::sleep(idle_backoff);
-                            }
+                            r.consumed > 0 || r.produced > 0
                         }
                         Err(_) => break,
-                    }
-                } else {
-                    std::thread::sleep(idle_backoff);
+                    };
+                if progressed {
+                    continue;
                 }
-            }
-            // drain after stop so no input is stranded — but only while
-            // firings make progress: a factory whose predicate leaves
-            // rows behind stays `ready()` forever (tokens it will never
-            // consume), and an unbounded drain would wedge shutdown.
-            // (Per-thread drains were never coordinated: with an empty
-            // input, `ready()` exits the loop immediately whether or not
-            // an upstream drain is about to deliver — this break only
-            // adds the no-progress case to the same best-effort policy.)
-            while f.ready() {
-                match f.fire() {
-                    Ok(r) => {
-                        shared.lock().absorb(&r);
-                        if r.consumed == 0 && r.produced == 0 {
-                            break;
-                        }
-                    }
-                    Err(_) => break,
+                // once stopping, keep firing only while firings make
+                // progress, so no input is stranded: a factory whose
+                // predicate leaves rows behind stays `ready()` forever
+                // (tokens it will never consume), and an unbounded drain
+                // would wedge shutdown. (Per-thread drains are not
+                // coordinated: an empty input exits at once whether or
+                // not an upstream drain is about to deliver.)
+                if stopping {
+                    break;
+                }
+                match f.recheck_after() {
+                    Some(t) => std::thread::park_timeout(t),
+                    None => std::thread::park(),
                 }
             }
             let final_stats = shared.lock().clone();
@@ -298,35 +281,17 @@ impl ThreadedScheduler {
         live
     }
 
-    /// The shared stop flag (e.g. to wire into a server-wide shutdown).
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
-    }
-
-    /// Number of factory threads spawned so far.
-    pub fn len(&self) -> usize {
-        self.handles.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
-    }
-
-    /// Signal shutdown and collect per-factory stats.
+    /// Signal shutdown, wake every parked thread and collect per-factory
+    /// stats (each thread drains its pending input before it exits).
     pub fn stop(self) -> Vec<FactoryStats> {
         self.stop.store(true, Ordering::Release);
-        // give threads a moment to observe the flag
-        std::thread::sleep(self.idle_backoff);
+        for h in &self.handles {
+            h.thread().unpark();
+        }
         self.handles
             .into_iter()
             .map(|h| h.join().expect("factory thread panicked"))
             .collect()
-    }
-}
-
-impl Default for ThreadedScheduler {
-    fn default() -> Self {
-        ThreadedScheduler::new()
     }
 }
 
@@ -430,9 +395,9 @@ mod tests {
             a.append_rows(&[vec![Value::Int(i)]], clock.as_ref()).unwrap();
         }
         // wait for the pipeline to drain
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         while b.len() < 100 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
         let stats = ts.stop();
         assert_eq!(b.len(), 100);

@@ -195,7 +195,7 @@ pub fn shared_baskets(
                     })
                 },
             )
-            .with_ready(move || {
+            .with_ready(flags.iter().chain(&dones).cloned().collect(), move || {
                 b_ready.len() >= min_batch
                     && b_ready.is_enabled()
                     && flags_r.iter().all(|f| f.is_empty())
@@ -362,6 +362,8 @@ pub fn partial_deletes(
                         // residue seen by everyone: drop it, end the round
                         consumed += shared.drain().len();
                         flight.store(false, std::sync::atomic::Ordering::Release);
+                        // stage 0's gate reads the flag: wake it
+                        shared.notify();
                     } else if let Some(next) = &next_signal {
                         next.append_rows(&[vec![Value::Bool(true)]], clk.as_ref())?;
                     }
@@ -374,7 +376,7 @@ pub fn partial_deletes(
             )
             .with_min_input(threshold);
             match ready_gate {
-                Some(gate) => factory.with_ready(gate),
+                Some(gate) => factory.with_ready(vec![], gate),
                 None => factory,
             }
         }));

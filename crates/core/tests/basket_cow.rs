@@ -168,10 +168,7 @@ fn concurrent_consumers_are_exactly_once() {
         .unwrap()
     };
 
-    let sched = ThreadedScheduler::spawn_with_backoff(
-        vec![Box::new(mk("qa")), Box::new(mk("qb"))],
-        Duration::from_micros(10),
-    );
+    let sched = ThreadedScheduler::spawn(vec![Box::new(mk("qa")), Box::new(mk("qb"))]);
 
     const TOTAL: i64 = 20_000;
     let mut next = 0i64;

@@ -879,7 +879,10 @@ fn q7_balance(
                 })
             },
         )
-        .with_ready(move || !charges_r.is_empty() || !balreq_r.is_empty()),
+        // both gate baskets are inputs: nothing else to watch
+        .with_ready(vec![], move || {
+            !charges_r.is_empty() || !balreq_r.is_empty()
+        }),
     )
 }
 

@@ -1,7 +1,7 @@
 //! `datacelld` — the DataCell stream-server daemon.
 //!
 //! ```text
-//! datacelld [--listen HOST:PORT] [--data-host HOST] [--backoff-us N]
+//! datacelld [--listen HOST:PORT] [--data-host HOST]
 //!           [--data-dir PATH] [--fsync always|every_n:N|off] [--seal-rows N]
 //!           [--trace-ring N] [--trace-sample N]
 //!           [--metrics-interval-ms N] [--metrics-depth N]
@@ -40,10 +40,6 @@ fn main() {
                 }
                 None => die("--data-host requires HOST"),
             },
-            "--backoff-us" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(us) => config.idle_backoff = Duration::from_micros(us),
-                None => die("--backoff-us requires a number"),
-            },
             "--data-dir" => match args.next() {
                 Some(v) => config.data_dir = Some(v.into()),
                 None => die("--data-dir requires a path"),
@@ -75,7 +71,7 @@ fn main() {
             },
             "--help" | "-h" => {
                 println!(
-                    "datacelld [--listen HOST:PORT] [--data-host HOST] [--backoff-us N]\n          \
+                    "datacelld [--listen HOST:PORT] [--data-host HOST]\n          \
                      [--data-dir PATH] [--fsync always|every_n:N|off] [--seal-rows N]\n          \
                      [--trace-ring N] [--trace-sample N (0 = off)]\n          \
                      [--metrics-interval-ms N] [--metrics-depth N]\n\n\

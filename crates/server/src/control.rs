@@ -1,8 +1,8 @@
 //! The control-plane listener: accepts client connections, parses
 //! commands (see [`crate::protocol`]) and dispatches them onto the
 //! [`ServerRuntime`]. One thread per control connection; the accept loop
-//! polls the runtime's stop flag so `SHUTDOWN` (from any session) tears
-//! the whole server down gracefully.
+//! blocks in `accept` and closes with the runtime's stop signal, so
+//! `SHUTDOWN` (from any session) tears the whole server down gracefully.
 //!
 //! The accept/read/dispatch/respond plumbing is generic ([`serve_loop`])
 //! — the `dccluster` router serves the identical wire protocol with a
@@ -12,14 +12,14 @@ use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
+use crate::accept::Acceptor;
 use crate::error::Result;
 use crate::protocol::{parse_command, Command, Response};
-use crate::runtime::ServerRuntime;
+use crate::runtime::{ServerRuntime, POLL_INTERVAL};
 use crate::session::SessionManager;
 
 use std::time::Duration;
 
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
 /// Upper bound on a control-plane response write — a client that stops
 /// reading must not wedge its connection thread (and thereby shutdown).
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
@@ -27,6 +27,7 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// The control-plane server.
 pub struct ControlServer {
     listener: TcpListener,
+    acceptor: Arc<Acceptor>,
     runtime: Arc<ServerRuntime>,
 }
 
@@ -35,8 +36,12 @@ impl ControlServer {
     /// ephemeral).
     pub fn bind(addr: &str, runtime: Arc<ServerRuntime>) -> Result<ControlServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(ControlServer { listener, runtime })
+        let acceptor = runtime.stop_signal().acceptor(&listener)?;
+        Ok(ControlServer {
+            listener,
+            acceptor,
+            runtime,
+        })
     }
 
     /// The bound control-plane address (useful with ephemeral ports).
@@ -53,7 +58,8 @@ impl ControlServer {
     pub fn serve(self) -> Result<()> {
         let rt = &self.runtime;
         serve_loop(
-            &self.listener,
+            self.listener,
+            &self.acceptor,
             &rt.sessions,
             &|| rt.is_stopping(),
             &|request| dispatch(rt, request),
@@ -64,13 +70,14 @@ impl ControlServer {
 }
 
 /// The generic control-plane serve loop: accept connections until
-/// `is_stopping`, read one command line at a time per connection,
+/// `acceptor` closes, read one command line at a time per connection,
 /// hand it to `dispatch`, write the framed [`Response`]. Session
 /// bookkeeping (open / per-command count / close) is handled here.
 /// Connection threads are scoped, so the loop returns only after every
-/// connection wound down.
+/// connection wound down (each notices `is_stopping` between reads).
 pub fn serve_loop<S, D>(
-    listener: &TcpListener,
+    listener: TcpListener,
+    acceptor: &Acceptor,
     sessions: &SessionManager,
     is_stopping: &S,
     dispatch: &D,
@@ -79,31 +86,15 @@ pub fn serve_loop<S, D>(
     D: Fn(&str) -> (Response, bool) + Sync,
 {
     std::thread::scope(|scope| {
-        let mut conns: Vec<std::thread::ScopedJoinHandle<'_, ()>> = Vec::new();
-        while !is_stopping() {
-            match listener.accept() {
-                Ok((sock, peer)) => {
-                    let peer = peer.to_string();
-                    conns.push(
-                        std::thread::Builder::new()
-                            .name("dc-control-conn".into())
-                            .spawn_scoped(scope, move || {
-                                control_connection(sessions, is_stopping, dispatch, sock, peer)
-                            })
-                            .expect("spawn control connection thread"),
-                    );
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-                Err(_) => {
-                    // transient accept failures (ECONNABORTED, EMFILE, ...)
-                    // must not take the whole daemon down — back off, retry
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-            }
-            conns.retain(|t| !t.is_finished());
-        }
+        acceptor.run(listener, |sock, peer| {
+            let peer = peer.to_string();
+            std::thread::Builder::new()
+                .name("dc-control-conn".into())
+                .spawn_scoped(scope, move || {
+                    control_connection(sessions, is_stopping, dispatch, sock, peer)
+                })
+                .expect("spawn control connection thread");
+        });
         // leaving the scope joins the remaining connection threads
     });
 }

@@ -14,6 +14,8 @@
 //!   per-query result fan-out;
 //! * a **runtime** ([`runtime`]) supervising the thread-per-factory
 //!   scheduler, accept loops and pumps, with graceful shutdown.
+//! * blocking **accept loops** and the daemon-wide stop signal
+//!   ([`accept`]), shared with the `dccluster` router.
 //!
 //! The [`client`] module is the matching client library (`dcclient`).
 //!
@@ -35,6 +37,7 @@
 //! binary frames ([`datacell::frame`]) that move whole `Relation`
 //! batches end-to-end.
 
+pub mod accept;
 pub mod client;
 pub mod control;
 pub mod error;

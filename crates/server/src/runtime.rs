@@ -5,12 +5,15 @@
 //! accepts factories dynamically as clients register queries, receptor
 //! accept loops feeding stream baskets from TCP sensors, and emitter
 //! fan-out threads delivering query results to TCP subscribers — with a
-//! single stop flag driving graceful shutdown of the whole tree.
+//! single [`StopSignal`] driving graceful shutdown of the whole tree.
+//! Accept loops block in `accept` ([`Acceptor`]), factory threads park
+//! until a basket changes and timers wait on the stop signal; only idle
+//! socket reads wake on a timeout, to notice shutdown.
 
 use std::io::{BufRead, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -23,11 +26,13 @@ use datacell::scheduler::ThreadedScheduler;
 use monet::prelude::*;
 use parking_lot::Mutex;
 
+use crate::accept::{Acceptor, StopSignal};
 use crate::error::{Result, ServerError};
 use crate::session::{QueryHandle, QueryRegistry, SessionManager};
 
-/// How long blocking reads/accepts wait before re-checking the stop flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
+/// How long a blocking socket read (in either daemon) waits before
+/// re-checking the stop flag.
+pub const POLL_INTERVAL: Duration = Duration::from_millis(20);
 /// Upper bound on a single emitter socket write (a stalled subscriber is
 /// disconnected rather than allowed to wedge delivery and shutdown).
 const EMITTER_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
@@ -39,8 +44,6 @@ const RECEPTOR_BATCH: usize = 4096;
 pub struct ServerConfig {
     /// Host data-plane listeners bind to (control plane binds separately).
     pub data_host: String,
-    /// Idle backoff for factory threads.
-    pub idle_backoff: Duration,
     /// Pending-batch cap applied to every receptor-fed basket: when a
     /// basket holds this many buffered tuples, its receptor connections
     /// block (backpressure onto the sender's socket) instead of growing
@@ -79,7 +82,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             data_host: "127.0.0.1".into(),
-            idle_backoff: Duration::from_micros(100),
             receptor_basket_cap: 0,
             telemetry_enabled: true,
             trace_ring: dctrace::TRACE_RING_CAP,
@@ -101,10 +103,10 @@ pub struct ReceptorPort {
     pub connections: AtomicU64,
     pub accepted: AtomicU64,
     pub rejected: AtomicU64,
-    /// `DETACH RECEPTOR` flips this; the accept loop exits and releases
+    /// `DETACH RECEPTOR` closes this: the accept loop exits and releases
     /// the listener (established connections drain until the peer hangs
     /// up).
-    closed: Arc<AtomicBool>,
+    acceptor: Arc<Acceptor>,
 }
 
 /// An emitter data-plane port: accept loop + per-subscriber emitter threads.
@@ -117,18 +119,9 @@ pub struct EmitterPort {
     /// subscribers (adaptive coalescing when a socket is the bottleneck).
     pub coalesced: Arc<AtomicU64>,
     emitters: Mutex<Vec<Emitter>>,
-    /// `DETACH EMITTER` flips this; the accept loop exits and releases
+    /// `DETACH EMITTER` closes this: the accept loop exits and releases
     /// the listener (existing subscribers keep their streams).
-    closed: Arc<AtomicBool>,
-}
-
-/// A live `TRACE QUERY <q> ON` port: an accept loop feeding each
-/// subscriber the query's future flight-recorder events, one rendered
-/// event per line.
-pub struct TracePort {
-    pub query: String,
-    pub port: u16,
-    closed: Arc<AtomicBool>,
+    acceptor: Arc<Acceptor>,
 }
 
 /// The running server: owns every supervised thread.
@@ -143,7 +136,9 @@ pub struct ServerRuntime {
     /// Emitter ports removed by `DETACH` whose subscriber threads still
     /// need joining at shutdown.
     detached_emitters: Mutex<Vec<Arc<EmitterPort>>>,
-    trace_ports: Mutex<Vec<Arc<TracePort>>>,
+    /// Live `TRACE QUERY <q> ON` ports, by query (`TRACE ... OFF` closes
+    /// them).
+    trace_ports: Mutex<Vec<(String, Arc<Acceptor>)>>,
     telemetry: dctrace::Telemetry,
     /// Bounded ring of periodic `METRICS` snapshots (`METRICS HISTORY`,
     /// windowed gauges, health scoring). Populated by the snapshotter
@@ -155,7 +150,7 @@ pub struct ServerRuntime {
     /// must not interleave between `register_query` and `take_factories`,
     /// or it would steal the other session's factory.
     registration: Mutex<()>,
-    stop: Arc<AtomicBool>,
+    stop: StopSignal,
     started_at: Instant,
     /// The durable store behind `--data-dir` (`None` = in-memory server).
     store: Option<Arc<dcstore::Store>>,
@@ -165,7 +160,7 @@ pub struct ServerRuntime {
 
 impl ServerRuntime {
     pub fn new(engine: Arc<DataCell>, config: ServerConfig) -> Result<Arc<ServerRuntime>> {
-        let sched = ThreadedScheduler::with_backoff(config.idle_backoff);
+        let sched = ThreadedScheduler::new();
         let telemetry = if config.telemetry_enabled {
             let t = dctrace::Telemetry::enabled_with_ring(config.trace_ring);
             t.set_trace_sampling(config.trace_sample);
@@ -210,7 +205,7 @@ impl ServerRuntime {
             history,
             threads: Mutex::new(Vec::new()),
             registration: Mutex::new(()),
-            stop: Arc::new(AtomicBool::new(false)),
+            stop: StopSignal::default(),
             started_at: Instant::now(),
             store,
             recovery,
@@ -229,19 +224,7 @@ impl ServerRuntime {
         let handle = std::thread::Builder::new()
             .name("dc-metrics".into())
             .spawn(move || {
-                let interval = rt.config.metrics_interval;
-                while !rt.is_stopping() {
-                    // sleep in small increments so shutdown is prompt even
-                    // with a long interval
-                    let mut slept = Duration::ZERO;
-                    while slept < interval && !rt.is_stopping() {
-                        let step = POLL_INTERVAL.min(interval - slept);
-                        std::thread::sleep(step);
-                        slept += step;
-                    }
-                    if rt.is_stopping() {
-                        break;
-                    }
+                while !rt.stop.wait_timeout(rt.config.metrics_interval) {
                     rt.capture_metrics_now();
                 }
             })
@@ -289,12 +272,14 @@ impl ServerRuntime {
         &self.engine
     }
 
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
+    /// The stop signal: tripped by [`ServerRuntime::request_shutdown`];
+    /// acceptors made through it close with it.
+    pub fn stop_signal(&self) -> &StopSignal {
+        &self.stop
     }
 
     pub fn is_stopping(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
+        self.stop.is_stopped()
     }
 
     pub fn uptime(&self) -> Duration {
@@ -411,60 +396,30 @@ impl ServerRuntime {
             basket.set_pending_cap(self.config.receptor_basket_cap);
         }
         let listener = TcpListener::bind((self.config.data_host.as_str(), port))?;
-        listener.set_nonblocking(true)?;
-        let bound = listener.local_addr()?.port();
+        let acceptor = self.stop.acceptor(&listener)?;
         let rport = Arc::new(ReceptorPort {
             stream: stream.to_string(),
-            port: bound,
+            port: acceptor.port(),
             format,
             connections: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            closed: Arc::new(AtomicBool::new(false)),
+            acceptor: Arc::clone(&acceptor),
         });
         self.receptors.lock().push(Arc::clone(&rport));
 
         let rt = Arc::clone(self);
-        let accept_port = Arc::clone(&rport);
-        let handle = std::thread::Builder::new()
-            .name(format!("dc-rcpt-{stream}"))
-            .spawn(move || {
-                let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
-                while !rt.is_stopping() && !accept_port.closed.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((sock, _peer)) => {
-                            accept_port.connections.fetch_add(1, Ordering::AcqRel);
-                            let rt2 = Arc::clone(&rt);
-                            let port2 = Arc::clone(&accept_port);
-                            let basket2 = Arc::clone(&basket);
-                            conn_threads.retain(|t| !t.is_finished());
-                            conn_threads.push(
-                                std::thread::Builder::new()
-                                    .name(format!("dc-rcpt-{}-conn", port2.stream))
-                                    .spawn(move || {
-                                        receptor_connection(&rt2, &port2, &basket2, sock)
-                                    })
-                                    .expect("spawn receptor connection thread"),
-                            );
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL_INTERVAL);
-                        }
-                        Err(_) => {
-                            // transient accept failures (ECONNABORTED,
-                            // EMFILE, ...) must not kill the port — back
-                            // off and retry
-                            std::thread::sleep(POLL_INTERVAL);
-                        }
-                    }
-                }
-                for t in conn_threads {
-                    let _ = t.join();
-                }
-            })
-            .expect("spawn receptor accept thread");
+        let handle = acceptor.spawn(format!("dc-rcpt-{stream}"), listener, move |sock, _peer| {
+            rport.connections.fetch_add(1, Ordering::AcqRel);
+            let (rt, rport, basket) = (Arc::clone(&rt), Arc::clone(&rport), Arc::clone(&basket));
+            let conn = std::thread::Builder::new()
+                .name(format!("dc-rcpt-{}-conn", rport.stream))
+                .spawn(move || receptor_connection(&rt, &rport, &basket, sock))
+                .expect("spawn receptor connection thread");
+            Some(conn)
+        });
         self.threads.lock().push(handle);
-        Ok(bound)
+        Ok(acceptor.port())
     }
 
     /// Open an emitter port for `query`; port 0 picks an ephemeral port.
@@ -490,79 +445,55 @@ impl ServerRuntime {
             })?
             .clone();
         let listener = TcpListener::bind((self.config.data_host.as_str(), port))?;
-        listener.set_nonblocking(true)?;
-        let bound = listener.local_addr()?.port();
+        let acceptor = self.stop.acceptor(&listener)?;
         let eport = Arc::new(EmitterPort {
             query: query.to_string(),
-            port: bound,
+            port: acceptor.port(),
             format,
             connections: AtomicU64::new(0),
             coalesced: Arc::new(AtomicU64::new(0)),
             emitters: Mutex::new(Vec::new()),
-            closed: Arc::new(AtomicBool::new(false)),
+            acceptor: Arc::clone(&acceptor),
         });
         self.emitters.lock().push(Arc::clone(&eport));
 
-        let rt = Arc::clone(self);
-        let accept_port = Arc::clone(&eport);
         let probe = dctrace::EmitterProbe::new(&self.telemetry, query);
-        let thread = std::thread::Builder::new()
-            .name(format!("dc-emit-{query}"))
-            .spawn(move || {
-                while !rt.is_stopping() && !accept_port.closed.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((sock, _peer)) => {
-                            accept_port.connections.fetch_add(1, Ordering::AcqRel);
-                            // a subscriber that stops reading must not be
-                            // able to wedge shutdown behind a full send
-                            // buffer — bound the emitter's writes
-                            let _ = sock.set_write_timeout(Some(EMITTER_WRITE_TIMEOUT));
-                            let rx = broadcast.subscribe();
-                            // shared frames: one encoding per batch per
-                            // format, shared across every subscriber;
-                            // batches queued behind a slow socket coalesce
-                            // into one frame (counted per port for STATS)
-                            let emitter = Emitter::spawn_tcp_shared_probed(
-                                format!("{}@{}", accept_port.query, accept_port.port),
-                                rx,
-                                sock,
-                                accept_port.format,
-                                Arc::clone(&accept_port.coalesced),
-                                probe.clone(),
-                            );
-                            let mut emitters = accept_port.emitters.lock();
-                            emitters.retain(|e| !e.is_finished());
-                            emitters.push(emitter);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL_INTERVAL);
-                        }
-                        Err(_) => {
-                            // transient accept failures must not kill the
-                            // port — back off and retry
-                            std::thread::sleep(POLL_INTERVAL);
-                        }
-                    }
-                }
-            })
-            .expect("spawn emitter accept thread");
+        let thread = acceptor.spawn(format!("dc-emit-{query}"), listener, move |sock, _peer| {
+            eport.connections.fetch_add(1, Ordering::AcqRel);
+            // a subscriber that stops reading must not be able to wedge
+            // shutdown behind a full send buffer — bound the emitter's
+            // writes
+            let _ = sock.set_write_timeout(Some(EMITTER_WRITE_TIMEOUT));
+            // shared frames: one encoding per batch per format, shared
+            // across every subscriber; batches queued behind a slow socket
+            // coalesce into one frame (counted per port for STATS)
+            let emitter = Emitter::spawn_tcp_shared_probed(
+                format!("{}@{}", eport.query, eport.port),
+                broadcast.subscribe(),
+                sock,
+                eport.format,
+                Arc::clone(&eport.coalesced),
+                probe.clone(),
+            );
+            let mut emitters = eport.emitters.lock();
+            emitters.retain(|e| !e.is_finished());
+            emitters.push(emitter);
+            None
+        });
         self.threads.lock().push(thread);
-        Ok(bound)
+        Ok(acceptor.port())
     }
 
     /// `DETACH RECEPTOR <stream> PORT <p>`: stop the port's accept loop
     /// and release its listener. Established connections drain until the
     /// peer hangs up. Returns how many ports matched (stream AND port).
     pub fn detach_receptor(&self, stream: &str, port: u16) -> Result<usize> {
-        let mut ports = self.receptors.lock();
         let mut n = 0;
-        for p in ports.iter() {
-            if p.stream == stream && p.port == port && !p.closed.swap(true, Ordering::AcqRel) {
-                n += 1;
-            }
-        }
-        ports.retain(|p| !(p.stream == stream && p.port == port));
-        drop(ports);
+        self.receptors.lock().retain(|p| {
+            let hit = p.stream == stream && p.port == port;
+            n += usize::from(hit && p.acceptor.close());
+            !hit
+        });
         if n == 0 {
             return Err(ServerError::Unknown(format!(
                 "receptor {stream} on port {port}"
@@ -576,17 +507,15 @@ impl ServerRuntime {
     /// until the query ends or they hang up. Returns how many ports
     /// matched.
     pub fn detach_emitter(&self, query: &str, port: u16) -> Result<usize> {
-        let mut ports = self.emitters.lock();
-        let mut n = 0;
         let mut detached = Vec::new();
-        for p in ports.iter() {
-            if p.query == query && p.port == port && !p.closed.swap(true, Ordering::AcqRel) {
-                n += 1;
+        self.emitters.lock().retain(|p| {
+            let hit = p.query == query && p.port == port;
+            if hit && p.acceptor.close() {
                 detached.push(Arc::clone(p));
             }
-        }
-        ports.retain(|p| !(p.query == query && p.port == port));
-        drop(ports);
+            !hit
+        });
+        let n = detached.len();
         if n == 0 {
             return Err(ServerError::Unknown(format!(
                 "emitter {query} on port {port}"
@@ -837,51 +766,24 @@ impl ServerRuntime {
         }
         let recorder = self.recorder()?;
         let listener = TcpListener::bind((self.config.data_host.as_str(), 0))?;
-        listener.set_nonblocking(true)?;
-        let bound = listener.local_addr()?.port();
-        let tport = Arc::new(TracePort {
-            query: query.to_string(),
-            port: bound,
-            closed: Arc::new(AtomicBool::new(false)),
-        });
-        self.trace_ports.lock().push(Arc::clone(&tport));
+        let acceptor = self.stop.acceptor(&listener)?;
+        let entry = (query.to_string(), Arc::clone(&acceptor));
+        self.trace_ports.lock().push(entry);
 
         let rt = Arc::clone(self);
-        let accept_port = Arc::clone(&tport);
-        let handle = std::thread::Builder::new()
-            .name(format!("dc-trace-{query}"))
-            .spawn(move || {
-                let mut writers: Vec<JoinHandle<()>> = Vec::new();
-                while !rt.is_stopping() && !accept_port.closed.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((sock, _peer)) => {
-                            let _ = sock.set_write_timeout(Some(EMITTER_WRITE_TIMEOUT));
-                            let rx = recorder.subscribe(Some(accept_port.query.clone()));
-                            let rt2 = Arc::clone(&rt);
-                            let closed = Arc::clone(&accept_port.closed);
-                            writers.retain(|t| !t.is_finished());
-                            writers.push(
-                                std::thread::Builder::new()
-                                    .name(format!("dc-trace-{}-conn", accept_port.query))
-                                    .spawn(move || trace_writer(&rt2, &closed, rx, sock))
-                                    .expect("spawn trace writer thread"),
-                            );
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL_INTERVAL);
-                        }
-                        Err(_) => {
-                            std::thread::sleep(POLL_INTERVAL);
-                        }
-                    }
-                }
-                for t in writers {
-                    let _ = t.join();
-                }
-            })
-            .expect("spawn trace accept thread");
+        let (tap, query) = (Arc::clone(&acceptor), query.to_string());
+        let handle = acceptor.spawn(format!("dc-trace-{query}"), listener, move |sock, _peer| {
+            let _ = sock.set_write_timeout(Some(EMITTER_WRITE_TIMEOUT));
+            let rx = recorder.subscribe(Some(query.clone()));
+            let (rt, tap) = (Arc::clone(&rt), Arc::clone(&tap));
+            let writer = std::thread::Builder::new()
+                .name(format!("dc-trace-{query}-conn"))
+                .spawn(move || trace_writer(&rt, &tap, rx, sock))
+                .expect("spawn trace writer thread");
+            Some(writer)
+        });
         self.threads.lock().push(handle);
-        Ok(bound)
+        Ok(acceptor.port())
     }
 
     /// `TRACE QUERY <q> OFF`: close the query's live taps (subscribers
@@ -889,12 +791,12 @@ impl ServerRuntime {
     /// retire its trace ports. Returns how many taps were closed.
     pub fn trace_off(&self, query: &str) -> Result<usize> {
         let recorder = self.recorder()?;
-        let mut ports = self.trace_ports.lock();
-        for p in ports.iter().filter(|p| p.query == query) {
-            p.closed.store(true, Ordering::Release);
-        }
-        ports.retain(|p| p.query != query);
-        drop(ports);
+        self.trace_ports.lock().retain(|(q, port)| {
+            if q == query {
+                port.close();
+            }
+            q != query
+        });
         Ok(recorder.close_taps(Some(query)))
     }
 
@@ -987,9 +889,16 @@ impl ServerRuntime {
     }
 
     /// Request a graceful stop (idempotent; actual teardown happens in
-    /// [`ServerRuntime::shutdown`]).
+    /// [`ServerRuntime::shutdown`]): trips the stop signal, closing every
+    /// accept loop, and wakes feeders blocked on a full basket so they
+    /// see the stop.
     pub fn request_shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
+        self.stop.stop();
+        for name in self.engine.basket_names() {
+            if let Ok(b) = self.engine.basket(&name) {
+                b.notify();
+            }
+        }
     }
 
     /// Graceful teardown, in dependency order: stop ingest, drain the
@@ -1001,9 +910,9 @@ impl ServerRuntime {
         if let Some(rec) = self.telemetry.recorder() {
             rec.close_taps(None);
         }
-        // 1. receptor accept loops + connection readers observe the flag
-        //    and flush their final batches into the baskets; emitter accept
-        //    loops stop taking subscribers
+        // 1. the stop signal closed every accept loop; receptor connection
+        //    readers observe the flag and flush their final batches into
+        //    the baskets
         let threads: Vec<JoinHandle<()>> = std::mem::take(&mut *self.threads.lock());
         for t in threads {
             let _ = t.join();
@@ -1042,7 +951,7 @@ impl ServerRuntime {
 /// up, or the server stops.
 fn trace_writer(
     rt: &ServerRuntime,
-    closed: &AtomicBool,
+    port: &Acceptor,
     rx: std::sync::mpsc::Receiver<String>,
     sock: TcpStream,
 ) {
@@ -1055,7 +964,7 @@ fn trace_writer(
                 }
             }
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                if rt.is_stopping() || closed.load(Ordering::Acquire) {
+                if rt.is_stopping() || port.is_closed() {
                     break;
                 }
             }
@@ -1077,7 +986,8 @@ fn receptor_connection(
     }
 }
 
-/// Text data plane: greedily batch wire rows into the basket.
+/// Text data plane: parsed rows land in the basket one batch per
+/// drained read buffer ([`read_text_batches`]).
 fn receptor_connection_text(
     rt: &ServerRuntime,
     port: &ReceptorPort,
@@ -1086,206 +996,204 @@ fn receptor_connection_text(
 ) {
     let schema = basket.user_schema();
     let clock = Arc::clone(rt.engine.clock());
+    let stop = || rt.is_stopping();
+    let flush = |batch: Vec<Vec<Value>>| {
+        let trace_batch = rt.telemetry().maybe_sample().unwrap_or(0);
+        let append = || basket.append_rows(&batch, clock.as_ref());
+        append_batch(rt, port, basket, trace_batch, batch.len() as u64, append)
+    };
+    read_text_batches(sock, &schema, RECEPTOR_BATCH, &port.rejected, stop, flush);
+}
+
+/// Read a TEXT data-plane connection, handing `flush` each batch of
+/// parsed rows: at most `max` rows, and whatever is pending as soon as
+/// the read buffer drains (latency when idle, batching under load — the
+/// emitter's flush-on-drain rule). Lines that fail to parse count in
+/// `rejected`. Ends when the peer hangs up, a read fails, `stop()` holds
+/// or `flush` returns `false`.
+pub fn read_text_batches(
+    sock: TcpStream,
+    schema: &Schema,
+    max: usize,
+    rejected: &AtomicU64,
+    stop: impl Fn() -> bool,
+    mut flush: impl FnMut(Vec<Vec<Value>>) -> bool,
+) {
     let _ = sock.set_read_timeout(Some(POLL_INTERVAL));
     let mut reader = std::io::BufReader::new(sock);
     let mut line = String::new();
     let mut batch: Vec<Vec<Value>> = Vec::new();
-    let mut eof = false;
-    while !eof {
-        loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => {
-                    eof = true;
-                    break;
-                }
-                Ok(_) => {
-                    let trimmed = line.trim_end_matches(['\n', '\r']);
-                    if !trimmed.is_empty() {
-                        match parse_row(trimmed, &schema) {
-                            Ok(row) => batch.push(row),
-                            Err(_) => {
-                                port.rejected.fetch_add(1, Ordering::AcqRel);
-                            }
+    loop {
+        let eof = match reader.read_line(&mut line) {
+            Ok(0) => true,
+            Ok(_) => {
+                let trimmed = line.trim_end_matches(['\n', '\r']);
+                if !trimmed.is_empty() {
+                    match parse_row(trimmed, schema) {
+                        Ok(row) => batch.push(row),
+                        Err(_) => {
+                            rejected.fetch_add(1, Ordering::AcqRel);
                         }
                     }
-                    line.clear();
-                    if batch.len() >= RECEPTOR_BATCH {
-                        break;
-                    }
                 }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    // idle: flush what we have, re-check the stop flag;
-                    // a partially read line stays in `line` for the next
-                    // read_line call to complete
-                    if rt.is_stopping() {
-                        eof = true;
-                    }
-                    break;
-                }
-                Err(_) => {
-                    eof = true;
-                    break;
-                }
+                line.clear();
+                false
             }
+            // idle: a partially read line stays in `line` for the next
+            // read_line call to complete
+            Err(e) => !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+        };
+        let drained = eof || reader.buffer().is_empty();
+        if (batch.len() >= max || drained)
+            && !batch.is_empty()
+            && !flush(std::mem::take(&mut batch))
+        {
+            return;
         }
-        if !batch.is_empty() {
-            // backpressure: a capped basket blocks this connection (and
-            // thereby the peer's socket) until the factory drains it. A
-            // false return also covers "disabled while full" — then fall
-            // through so the append soft-rejects exactly like a disabled
-            // basket below cap; only shutdown drops the connection.
-            let trace_batch = rt.telemetry().maybe_sample().unwrap_or(0);
-            let append_started = basket.probe().map(|_| Instant::now());
-            if !basket.wait_for_capacity(|| rt.is_stopping()) && rt.is_stopping() {
-                break;
-            }
-            if trace_batch != 0 {
-                dctrace::span::set_current(trace_batch);
-                // arm the basket mark before the rows land: the firing
-                // that consumes them can run the instant append releases
-                // the basket lock, and a mark set afterwards would miss
-                // it (losing the dwell/fire/emitter spans)
-                if let Some(p) = basket.probe() {
-                    p.set_trace_mark(trace_batch);
-                }
-            }
-            let appended = match basket.append_rows(&batch, clock.as_ref()) {
-                Ok(n) => {
-                    port.accepted.fetch_add(n as u64, Ordering::AcqRel);
-                    port.rejected
-                        .fetch_add((batch.len() - n) as u64, Ordering::AcqRel);
-                    n
-                }
-                Err(_) => {
-                    port.rejected.fetch_add(batch.len() as u64, Ordering::AcqRel);
-                    0
-                }
-            };
-            dctrace::span::clear_current();
-            // decode→append latency for this batch (capacity wait
-            // included: that is what the sender experiences)
-            if let (Some(p), Some(started)) = (basket.probe(), append_started) {
-                let dur = started.elapsed().as_micros() as u64;
-                p.note_append_micros(dur);
-                if trace_batch != 0 {
-                    if appended > 0 {
-                        p.note_span("receptor", trace_batch, dur);
-                    } else {
-                        p.clear_trace_mark(trace_batch);
-                    }
-                }
-            }
-            batch.clear();
-        }
-        // also honor shutdown between batch flushes — a client streaming
-        // continuously never takes the idle branch above
-        if rt.is_stopping() {
-            break;
+        // honor shutdown between reads — a client streaming continuously
+        // never takes the idle branch
+        if eof || stop() {
+            return;
         }
     }
 }
 
-/// Binary data plane: accumulate bytes, peel off complete columnar
-/// frames, append each frame as one columnar basket insert. Frames are
+/// Read a data-plane connection until the peer hangs up, a read fails
+/// or `stop()` holds, handing the unconsumed bytes to `consume` after
+/// every read (and every idle read timeout). `consume` returns how many
+/// bytes it used, or `None` to drop the connection.
+pub fn read_stream(
+    mut sock: TcpStream,
+    stop: impl Fn() -> bool,
+    mut consume: impl FnMut(&[u8]) -> Option<usize>,
+) {
+    use std::io::Read;
+
+    let _ = sock.set_read_timeout(Some(POLL_INTERVAL));
+    let mut pending: Vec<u8> = Vec::new();
+    let mut chunk = [0u8; 64 * 1024];
+    loop {
+        let eof = match sock.read(&mut chunk) {
+            Ok(0) => true,
+            Ok(n) => {
+                pending.extend_from_slice(&chunk[..n]);
+                false
+            }
+            Err(e) => !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+        };
+        match consume(&pending) {
+            Some(used) => {
+                pending.drain(..used);
+            }
+            None => return,
+        }
+        if eof || stop() {
+            return;
+        }
+    }
+}
+
+/// Append one decoded batch of `rows` rows with the receptor's
+/// backpressure, accounting and tracing; `trace_batch` is the sampled
+/// batch id (0 = untraced). Returns `false` when the server is stopping
+/// and the connection should end.
+fn append_batch(
+    rt: &ServerRuntime,
+    port: &ReceptorPort,
+    basket: &datacell::basket::Basket,
+    trace_batch: u64,
+    rows: u64,
+    append: impl FnOnce() -> datacell::error::Result<usize>,
+) -> bool {
+    let started = basket.probe().map(|_| Instant::now());
+    // backpressure: a capped basket blocks this connection (and thereby
+    // the peer's socket) until the factory drains it. A false return also
+    // covers "disabled while full" — then fall through so the append
+    // soft-rejects exactly like a disabled basket below cap; only
+    // shutdown drops the connection.
+    if !basket.wait_for_capacity(|| rt.is_stopping()) && rt.is_stopping() {
+        return false;
+    }
+    if trace_batch != 0 {
+        // the WAL append span learns its batch from the thread-local
+        // while the basket logs under its lock
+        dctrace::span::set_current(trace_batch);
+        // arm the basket mark before the rows land: the firing that
+        // consumes them can run the instant append releases the basket
+        // lock, and a mark set afterwards would miss it (losing the
+        // dwell/fire/emitter spans)
+        if let Some(p) = basket.probe() {
+            p.set_trace_mark(trace_batch);
+        }
+    }
+    let appended = append().map_or(0, |n| n as u64);
+    port.accepted.fetch_add(appended, Ordering::AcqRel);
+    port.rejected.fetch_add(rows - appended, Ordering::AcqRel);
+    dctrace::span::clear_current();
+    // decode→append latency for this batch (capacity wait included: that
+    // is what the sender experiences)
+    if let (Some(p), Some(started)) = (basket.probe(), started) {
+        let dur = started.elapsed().as_micros() as u64;
+        p.note_append_micros(dur);
+        if trace_batch != 0 {
+            if appended > 0 {
+                p.note_span("receptor", trace_batch, dur);
+            } else {
+                p.clear_trace_mark(trace_batch);
+            }
+        }
+    }
+    true
+}
+
+/// Binary data plane: peel complete columnar frames off the connection
+/// and append each as one columnar basket insert. Frames are
 /// self-delimiting, so read timeouts never corrupt the stream — a
 /// partial frame just waits in the buffer for its tail.
 fn receptor_connection_binary(
     rt: &ServerRuntime,
     port: &ReceptorPort,
     basket: &Arc<datacell::basket::Basket>,
-    mut sock: TcpStream,
+    sock: TcpStream,
 ) {
-    use std::io::Read;
-
     let schema = basket.user_schema();
     let clock = Arc::clone(rt.engine.clock());
-    let _ = sock.set_read_timeout(Some(POLL_INTERVAL));
-    let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 64 * 1024];
-    let mut eof = false;
-    while !eof {
-        match sock.read(&mut chunk) {
-            Ok(0) => eof = true,
-            Ok(n) => pending.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => eof = true,
-        }
-        // drain every complete frame that has landed
+    // append every complete frame that has landed, waking the factories
+    // once for the whole burst
+    let consume = |pending: &[u8]| {
         let mut consumed = 0usize;
+        let mut _hold = None;
         loop {
             match decode_frame_traced(&pending[consumed..], &schema) {
                 Ok(Some((rel, used, header))) => {
                     consumed += used;
-                    let total = rel.len() as u64;
+                    _hold.get_or_insert_with(|| basket.hold_appends());
                     // trace: propagate a wire header stamped upstream
                     // (router → shard hop), otherwise sample locally
                     let trace_batch = header
                         .map(|h| h.batch)
                         .or_else(|| rt.telemetry().maybe_sample())
                         .unwrap_or(0);
-                    // as in the text path: only shutdown drops the
-                    // connection; a disabled-while-full basket falls
-                    // through to a soft-reject append
-                    let append_started = basket.probe().map(|_| Instant::now());
-                    if !basket.wait_for_capacity(|| rt.is_stopping()) && rt.is_stopping() {
-                        eof = true;
-                        break;
-                    }
-                    // the WAL append span learns its batch from the
-                    // thread-local while the basket logs under its lock
-                    if trace_batch != 0 {
-                        dctrace::span::set_current(trace_batch);
-                        // arm the mark before the rows land — a firing
-                        // racing the append would otherwise consume them
-                        // with no trace to inherit
-                        if let Some(p) = basket.probe() {
-                            p.set_trace_mark(trace_batch);
-                        }
-                    }
-                    let appended = match basket.append_relation(rel, clock.as_ref()) {
-                        Ok(n) => {
-                            port.accepted.fetch_add(n as u64, Ordering::AcqRel);
-                            port.rejected
-                                .fetch_add(total - n as u64, Ordering::AcqRel);
-                            n
-                        }
-                        Err(_) => {
-                            port.rejected.fetch_add(total, Ordering::AcqRel);
-                            0
-                        }
-                    };
-                    dctrace::span::clear_current();
-                    if let (Some(p), Some(started)) = (basket.probe(), append_started) {
-                        let dur = started.elapsed().as_micros() as u64;
-                        p.note_append_micros(dur);
-                        if trace_batch != 0 {
-                            if appended > 0 {
-                                p.note_span("receptor", trace_batch, dur);
-                            } else {
-                                p.clear_trace_mark(trace_batch);
-                            }
-                        }
+                    let rows = rel.len() as u64;
+                    let append = || basket.append_relation(rel, clock.as_ref());
+                    if !append_batch(rt, port, basket, trace_batch, rows, append) {
+                        return None;
                     }
                 }
-                Ok(None) => break,
+                Ok(None) => return Some(consumed),
                 Err(_) => {
                     // corrupt stream: count one reject, drop the peer
                     port.rejected.fetch_add(1, Ordering::AcqRel);
-                    eof = true;
-                    break;
+                    return None;
                 }
             }
         }
-        if consumed > 0 {
-            pending.drain(..consumed);
-        }
-        if rt.is_stopping() {
-            break;
-        }
-    }
+    };
+    read_stream(sock, || rt.is_stopping(), consume);
 }

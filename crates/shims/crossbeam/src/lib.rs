@@ -2,11 +2,12 @@
 //!
 //! The build environment has no access to a crates registry, so this
 //! workspace vendors the subset of `crossbeam::channel` the code base
-//! uses: an unbounded MPMC channel with `Clone`-able senders *and*
-//! receivers, disconnect detection on both sides, and blocking /
-//! non-blocking / timed receives. Built on `Mutex<VecDeque>` + `Condvar`
-//! — slower than the real lock-free implementation, but semantically
-//! equivalent for the workloads here.
+//! uses: unbounded and bounded MPMC channels with `Clone`-able senders
+//! *and* receivers, disconnect detection on both sides, blocking sends on
+//! a full bounded channel, and blocking / non-blocking / timed receives.
+//! Built on `Mutex<VecDeque>` + `Condvar` — slower than the real
+//! lock-free implementation, but semantically equivalent for the
+//! workloads here.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -17,9 +18,19 @@ pub mod channel {
 
     struct Inner<T> {
         queue: Mutex<VecDeque<T>>,
+        /// Signalled when a message lands (or the last sender leaves).
         ready: Condvar,
+        /// Signalled when a message leaves (or the last receiver leaves).
+        space: Condvar,
+        cap: usize,
         senders: AtomicUsize,
         receivers: AtomicUsize,
+    }
+
+    impl<T> Inner<T> {
+        fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {
+            self.queue.lock().unwrap_or_else(|p| p.into_inner())
+        }
     }
 
     /// The sending half of a channel.
@@ -29,21 +40,28 @@ pub mod channel {
     /// (each message is delivered to exactly one receiver).
     pub struct Receiver<T>(Arc<Inner<T>>);
 
-    /// Create an unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
+    fn with_cap<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
         let inner = Arc::new(Inner {
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
+            space: Condvar::new(),
+            cap,
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
         });
         (Sender(Arc::clone(&inner)), Receiver(inner))
     }
 
-    /// Bounded constructor for API compatibility. The shim does not apply
-    /// backpressure; the capacity is advisory only.
-    pub fn bounded<T>(_cap: usize) -> (Sender<T>, Receiver<T>) {
-        unbounded()
+    /// Create an unbounded channel.
+    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
+        with_cap(usize::MAX)
+    }
+
+    /// Create a channel holding at most `cap` messages: [`Sender::send`]
+    /// blocks while it is full. (The real crate's `bounded(0)` is a
+    /// rendezvous channel; the shim treats 0 as 1.)
+    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
+        with_cap(cap.max(1))
     }
 
     /// Error returned by [`Sender::send`] when all receivers are gone.
@@ -62,6 +80,23 @@ pub mod channel {
     }
 
     impl<T> std::error::Error for SendError<T> {}
+
+    /// Error returned by [`Sender::try_send`].
+    pub enum TrySendError<T> {
+        /// The channel is at capacity.
+        Full(T),
+        /// Every receiver has been dropped.
+        Disconnected(T),
+    }
+
+    impl<T> fmt::Debug for TrySendError<T> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self {
+                TrySendError::Full(_) => f.write_str("Full(..)"),
+                TrySendError::Disconnected(_) => f.write_str("Disconnected(..)"),
+            }
+        }
+    }
 
     /// Error returned by [`Receiver::recv`] when the channel is empty and
     /// all senders are gone.
@@ -117,12 +152,34 @@ pub mod channel {
     impl std::error::Error for RecvTimeoutError {}
 
     impl<T> Sender<T> {
-        /// Queue a message; fails only when every receiver has been dropped.
+        /// Queue a message, blocking while a bounded channel is full;
+        /// fails only when every receiver has been dropped.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            if self.0.receivers.load(Ordering::Acquire) == 0 {
-                return Err(SendError(value));
+            let mut q = self.0.lock();
+            loop {
+                if self.0.receivers.load(Ordering::Acquire) == 0 {
+                    return Err(SendError(value));
+                }
+                if q.len() < self.0.cap {
+                    break;
+                }
+                q = self.0.space.wait(q).unwrap_or_else(|p| p.into_inner());
             }
-            let mut q = self.0.queue.lock().unwrap_or_else(|p| p.into_inner());
+            q.push_back(value);
+            drop(q);
+            self.0.ready.notify_one();
+            Ok(())
+        }
+
+        /// Queue a message without blocking.
+        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
+            let mut q = self.0.lock();
+            if self.0.receivers.load(Ordering::Acquire) == 0 {
+                return Err(TrySendError::Disconnected(value));
+            }
+            if q.len() >= self.0.cap {
+                return Err(TrySendError::Full(value));
+            }
             q.push_back(value);
             drop(q);
             self.0.ready.notify_one();
@@ -130,15 +187,11 @@ pub mod channel {
         }
 
         pub fn is_empty(&self) -> bool {
-            self.0
-                .queue
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .is_empty()
+            self.0.lock().is_empty()
         }
 
         pub fn len(&self) -> usize {
-            self.0.queue.lock().unwrap_or_else(|p| p.into_inner()).len()
+            self.0.lock().len()
         }
     }
 
@@ -152,18 +205,28 @@ pub mod channel {
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
             if self.0.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-                // last sender gone: wake all blocked receivers
+                // last sender gone: wake all blocked receivers (under the
+                // lock, so a receiver between its check and its wait
+                // cannot miss the wake-up)
+                let _q = self.0.lock();
                 self.0.ready.notify_all();
             }
         }
     }
 
     impl<T> Receiver<T> {
+        /// Pop under the lock, making room for one blocked sender.
+        fn pop(&self, q: &mut VecDeque<T>) -> Option<T> {
+            let v = q.pop_front()?;
+            self.0.space.notify_one();
+            Some(v)
+        }
+
         /// Block until a message arrives or every sender is dropped.
         pub fn recv(&self) -> Result<T, RecvError> {
-            let mut q = self.0.queue.lock().unwrap_or_else(|p| p.into_inner());
+            let mut q = self.0.lock();
             loop {
-                if let Some(v) = q.pop_front() {
+                if let Some(v) = self.pop(&mut q) {
                     return Ok(v);
                 }
                 if self.0.senders.load(Ordering::Acquire) == 0 {
@@ -175,8 +238,8 @@ pub mod channel {
 
         /// Non-blocking receive.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut q = self.0.queue.lock().unwrap_or_else(|p| p.into_inner());
-            if let Some(v) = q.pop_front() {
+            let mut q = self.0.lock();
+            if let Some(v) = self.pop(&mut q) {
                 return Ok(v);
             }
             if self.0.senders.load(Ordering::Acquire) == 0 {
@@ -189,9 +252,9 @@ pub mod channel {
         /// Blocking receive with a deadline.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
             let deadline = Instant::now() + timeout;
-            let mut q = self.0.queue.lock().unwrap_or_else(|p| p.into_inner());
+            let mut q = self.0.lock();
             loop {
-                if let Some(v) = q.pop_front() {
+                if let Some(v) = self.pop(&mut q) {
                     return Ok(v);
                 }
                 if self.0.senders.load(Ordering::Acquire) == 0 {
@@ -211,15 +274,11 @@ pub mod channel {
         }
 
         pub fn is_empty(&self) -> bool {
-            self.0
-                .queue
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .is_empty()
+            self.0.lock().is_empty()
         }
 
         pub fn len(&self) -> usize {
-            self.0.queue.lock().unwrap_or_else(|p| p.into_inner()).len()
+            self.0.lock().len()
         }
 
         /// Blocking iterator over messages until disconnect.
@@ -237,7 +296,12 @@ pub mod channel {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            self.0.receivers.fetch_sub(1, Ordering::AcqRel);
+            if self.0.receivers.fetch_sub(1, Ordering::AcqRel) == 1 {
+                // last receiver gone: fail every sender blocked on a full
+                // channel
+                let _q = self.0.lock();
+                self.0.space.notify_all();
+            }
         }
     }
 
@@ -302,6 +366,30 @@ pub mod channel {
                 Err(RecvTimeoutError::Timeout)
             );
             assert!(t0.elapsed() >= Duration::from_millis(25));
+        }
+
+        #[test]
+        fn bounded_send_blocks_until_space() {
+            let (tx, rx) = bounded(2);
+            tx.send(1).unwrap();
+            tx.send(2).unwrap();
+            assert!(matches!(tx.try_send(3), Err(TrySendError::Full(3))));
+            let tx2 = tx.clone();
+            let h = std::thread::spawn(move || tx2.send(3));
+            assert_eq!(rx.recv(), Ok(1));
+            assert!(h.join().unwrap().is_ok());
+            assert_eq!(rx.len(), 2);
+            assert_eq!(rx.recv(), Ok(2));
+            assert_eq!(rx.recv(), Ok(3));
+        }
+
+        #[test]
+        fn blocked_send_fails_when_receiver_leaves() {
+            let (tx, rx) = bounded(1);
+            tx.send(1).unwrap();
+            let h = std::thread::spawn(move || tx.send(2));
+            drop(rx);
+            assert!(h.join().unwrap().is_err());
         }
 
         #[test]
