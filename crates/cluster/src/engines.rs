@@ -7,7 +7,8 @@
 //! **remote** engine (a `datacelld` already running elsewhere) are
 //! indistinguishable past construction.
 //!
-//! Every control round-trip is bounded: connects use
+//! Every control round-trip is bounded: connects (data-plane ones too,
+//! [`ShardEngine::connect_data`]) use
 //! [`ControlPolicy::connect_timeout`], reads/writes use
 //! [`ControlPolicy::io_timeout`], and after a transport failure the
 //! session enters a capped exponential backoff window during which
@@ -16,7 +17,7 @@
 //! the session open — the transport is fine, the request was just
 //! rejected.
 
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -184,10 +185,14 @@ impl ShardEngine {
         self.addr
     }
 
-    /// Address of a data-plane port this engine reported (its data ports
-    /// live on the same host as its control plane).
-    pub fn data_addr(&self, port: u16) -> SocketAddr {
-        SocketAddr::new(self.addr.ip(), port)
+    /// Connect to a data-plane port this engine reported (its data ports
+    /// live on the same host as its control plane), bounded by the control
+    /// policy's connect timeout like the control session, so an engine
+    /// host that drops SYNs fails ATTACH, ingest and promotion in bounded
+    /// time.
+    pub fn connect_data(&self, port: u16) -> Result<TcpStream> {
+        let addr = SocketAddr::new(self.addr.ip(), port);
+        Ok(dcserver::accept::connect(addr, self.policy.connect_timeout)?)
     }
 
     /// Run one control-plane operation against this engine.
@@ -332,6 +337,43 @@ mod tests {
 
         drop(e);
         drop(hold); // listener thread exits with the process
+    }
+
+    /// A data-plane connect to an engine host that drops SYNs fails within
+    /// the policy's connect timeout, not after the kernel's SYN retries
+    /// (minutes). The SYN-dropping host is a local listener whose accept
+    /// queue is full and never drained: Linux drops further SYNs to it.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn data_connect_to_a_syn_dropping_host_is_bounded() {
+        use std::os::fd::AsRawFd;
+        extern "C" {
+            fn listen(fd: i32, backlog: i32) -> i32;
+        }
+        let policy = ControlPolicy {
+            connect_timeout: Duration::from_millis(300),
+            ..ControlPolicy::default()
+        };
+        let e = ShardEngine::spawn_in_process_with(0, ServerConfig::default(), policy).unwrap();
+        let full = TcpListener::bind("127.0.0.1:0").unwrap();
+        // SAFETY: a plain syscall on a live listening socket we own;
+        // re-listening only shrinks its accept queue to one connection
+        assert_eq!(unsafe { listen(full.as_raw_fd(), 0) }, 0);
+        let addr = full.local_addr().unwrap();
+        let mut queued = Vec::new();
+        while let Ok(sock) = dcserver::accept::connect(addr, Duration::from_millis(200)) {
+            queued.push(sock);
+            assert!(queued.len() < 8, "the accept queue never filled");
+        }
+        let t0 = Instant::now();
+        let err = e.connect_data(addr.port()).unwrap_err();
+        let took = t0.elapsed();
+        assert!(matches!(err, ServerError::Io(_)), "got {err:?}");
+        assert!(
+            took >= Duration::from_millis(250) && took < Duration::from_secs(2),
+            "the connect should time out after ~300 ms, took {took:?}"
+        );
+        e.shutdown();
     }
 
     /// Backoff clears on success: an engine that comes back is adopted

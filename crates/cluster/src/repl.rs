@@ -398,7 +398,7 @@ impl ClusterRuntime {
                 .control(|c| c.attach_emitter_fmt(&eport.query, 0, eport.format))
                 .and_then(|p| {
                     attached.push((true, eport.query.clone(), p));
-                    Ok((p, std::net::TcpStream::connect(follower.data_addr(p))?))
+                    Ok((p, follower.connect_data(p)?))
                 });
             match attempt {
                 Ok((p, sock)) => new_eports.push((Arc::clone(eport), p, sock)),

@@ -936,16 +936,16 @@ impl ClusterRuntime {
             // resolve shard addresses per connection, not per port:
             // promotion re-points shard_ports at the new primary, and
             // connections accepted afterwards must ingest there
-            let addrs: Vec<_> = rport
+            let shards: Vec<_> = rport
                 .shard_ports
                 .lock()
                 .iter()
-                .map(|&(eid, p)| rt.engine(eid).data_addr(p))
+                .map(|&(eid, p)| (rt.engine(eid), p))
                 .collect();
             let (rt, rport, entry) = (Arc::clone(&rt), Arc::clone(&rport), Arc::clone(&entry));
             let conn = std::thread::Builder::new()
                 .name(format!("dcc-rcpt-{}-conn", rport.stream))
-                .spawn(move || ingest_connection(&rt, &rport, &entry, &addrs, sock))
+                .spawn(move || ingest_connection(&rt, &rport, &entry, &shards, sock))
                 .expect("spawn router ingest thread");
             Some(conn)
         });
@@ -988,7 +988,7 @@ impl ClusterRuntime {
                 .control(|c| c.attach_emitter_fmt(query, 0, format))
                 .and_then(|p| {
                     shard_ports.push((eid, p));
-                    Ok(TcpStream::connect(engine.data_addr(p))?)
+                    engine.connect_data(p)
                 });
             match attempt {
                 Ok(sock) => shard_socks.push((eid, sock)),
@@ -1281,7 +1281,7 @@ impl ClusterRuntime {
         for &eid in &entry.engines {
             let engine = self.engine(eid);
             let p = engine.control(|c| c.trace_on(query))?;
-            shard_socks.push((eid, TcpStream::connect(engine.data_addr(p))?));
+            shard_socks.push((eid, engine.connect_data(p)?));
         }
         for (eid, sock) in shard_socks {
             let rt = Arc::clone(self);
@@ -1818,22 +1818,24 @@ fn ingest_connection(
     rt: &ClusterRuntime,
     port: &ClusterReceptorPort,
     entry: &StreamEntry,
-    shard_addrs: &[std::net::SocketAddr],
+    shards: &[(Arc<ShardEngine>, u16)],
     sock: TcpStream,
 ) {
     // single-shard binary ingest never needs the split: relay frames
     // verbatim (schema-free peel, no decode/re-encode on the hot path)
-    if shard_addrs.len() == 1 && port.format == WireFormat::Binary {
-        let Ok(shard_sock) = TcpStream::connect(shard_addrs[0]) else {
+    if let [(engine, p)] = shards {
+        if port.format == WireFormat::Binary {
+            let Ok(shard_sock) = engine.connect_data(*p) else {
+                return;
+            };
+            ingest_binary_passthrough(rt, port, sock, shard_sock);
             return;
-        };
-        ingest_binary_passthrough(rt, port, sock, shard_sock);
-        return;
+        }
     }
-    let mut txs = Vec::with_capacity(shard_addrs.len());
-    let mut forwarders = Vec::with_capacity(shard_addrs.len());
-    for (shard, addr) in shard_addrs.iter().enumerate() {
-        let Ok(shard_sock) = TcpStream::connect(addr) else {
+    let mut txs = Vec::with_capacity(shards.len());
+    let mut forwarders = Vec::with_capacity(shards.len());
+    for (shard, (engine, p)) in shards.iter().enumerate() {
+        let Ok(shard_sock) = engine.connect_data(*p) else {
             return; // shard unreachable: refuse the connection outright
         };
         let (tx, rx) = bounded::<TracedRel>(FORWARD_QUEUE_CAP);

@@ -260,6 +260,16 @@ impl BasketInner {
         }
     }
 
+    /// Non-empty physical columns whose payload a snapshot still shares.
+    fn shared_columns(&self) -> usize {
+        if self.rel.is_empty() {
+            return 0;
+        }
+        (0..self.rel.width())
+            .filter(|&i| self.rel.col_at(i).is_shared())
+            .count()
+    }
+
     /// Keep the deleted-bitmap aligned after `appended` new rows.
     fn note_append(&mut self, appended: usize) {
         if let Some(d) = &mut self.deleted {
@@ -730,6 +740,8 @@ impl Basket {
         let n = accepted.len();
         if n > 0 {
             self.log_accepted(accepted, uniform_ts)?;
+            // columns a snapshot still shares are deep-copied by the append
+            let (copied, rows) = (inner.shared_columns(), inner.rel.len());
             // positional compatibility was validated by the caller
             inner.rel.append_relation(accepted)?;
             inner.note_append(n);
@@ -737,6 +749,9 @@ impl Basket {
             self.note_high_water(inner.live_len());
             if let Some(p) = self.probe() {
                 p.note_append(n);
+                if copied > 0 {
+                    p.note_cow_copy(copied, copied * rows);
+                }
             }
             self.maybe_seal(inner)?;
         }
@@ -1078,6 +1093,30 @@ mod tests {
         assert_eq!(drained.len(), 2);
         assert!(b.is_empty());
         assert_eq!(b.stats().snapshot().1, 3);
+    }
+
+    #[test]
+    fn append_copies_only_columns_a_snapshot_still_shares() {
+        let clock = VirtualClock::starting_at(7);
+        let t = dctrace::Telemetry::enabled();
+        let b = Basket::new("B", &schema(), false);
+        b.set_probe(dctrace::BasketProbe::new(&t, "B").unwrap());
+        let rows = |ids: &[i64]| -> Vec<Vec<Value>> {
+            ids.iter().map(|&i| vec![Value::Int(i), Value::Int(i * 10)]).collect()
+        };
+        b.append_rows(&rows(&[1, 2, 3]), &clock).unwrap();
+        b.append_rows(&rows(&[4]), &clock).unwrap();
+        let snap = b.snapshot();
+        b.append_rows(&rows(&[5, 6]), &clock).unwrap();
+        assert_eq!(snap.len(), 4, "the snapshot does not see later appends");
+        assert_eq!(snap.column("id").unwrap().ints().unwrap(), &[1, 2, 3, 4]);
+        assert_eq!(b.snapshot().column("id").unwrap().ints().unwrap(), &[1, 2, 3, 4, 5, 6]);
+        drop(snap);
+        b.append_rows(&rows(&[7]), &clock).unwrap();
+        let body = t.render();
+        // only the append under the live snapshot copied: 2 columns x 4 rows
+        assert!(body.contains(&"dc_basket_cow_copies_total{stream=\"B\"} 2".to_string()));
+        assert!(body.contains(&"dc_basket_cow_rows_total{stream=\"B\"} 8".to_string()));
     }
 
     #[test]

@@ -703,6 +703,11 @@ impl Factory for QueryFactory {
             (effects, delta, rows)
         };
         let mut execute_micros = execute_started.elapsed().as_micros() as u64;
+        // Release the snapshots' column shares before the phase-3 re-lock:
+        // a receptor blocked on a basket lock during the apply would
+        // otherwise append into still-shared columns and deep-copy them
+        // (the re-execute path below takes its own snapshots).
+        drop(snapshots);
 
         // Phase 3 — reacquire and apply. Appends elsewhere are harmless
         // (they never renumber existing rows); a delete/drain/compaction

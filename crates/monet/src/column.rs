@@ -49,6 +49,22 @@ impl ColumnData {
         }
     }
 
+    /// A deep copy with room for `cap` rows.
+    fn copy_with_capacity(&self, cap: usize) -> Self {
+        fn copy<T: Clone>(v: &[T], cap: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(cap);
+            out.extend_from_slice(v);
+            out
+        }
+        match self {
+            ColumnData::Bool(v) => ColumnData::Bool(copy(v, cap)),
+            ColumnData::Int(v) => ColumnData::Int(copy(v, cap)),
+            ColumnData::Double(v) => ColumnData::Double(copy(v, cap)),
+            ColumnData::Str(v) => ColumnData::Str(copy(v, cap)),
+            ColumnData::Ts(v) => ColumnData::Ts(copy(v, cap)),
+        }
+    }
+
     fn len(&self) -> usize {
         match self {
             ColumnData::Bool(v) => v.len(),
@@ -206,6 +222,12 @@ impl Column {
     /// hook for the zero-copy snapshot tests and benches.
     pub fn shares_data(&self, other: &Column) -> bool {
         Arc::ptr_eq(&self.data, &other.data)
+    }
+
+    /// Whether the payload is shared with a clone (a snapshot), so the
+    /// next in-place mutation deep-copies it first.
+    pub fn is_shared(&self) -> bool {
+        Arc::strong_count(&self.data) > 1
     }
 
     /// Exclusive handle to the payload; deep-copies first if shared.
@@ -448,6 +470,13 @@ impl Column {
                 Arc::make_mut(mask).extend_from(&om);
             }
         }
+        if self.is_shared() {
+            // un-share into a copy with growth headroom: the append below
+            // and the ones after it land without reallocating, where an
+            // exact-size clone would reallocate (and copy again) at once
+            let cap = (2 * self.len()).max(self.len() + other.len());
+            self.data = Arc::new(self.data.copy_with_capacity(cap));
+        }
         match (Arc::make_mut(&mut self.data), &*other.data) {
             (ColumnData::Bool(a), ColumnData::Bool(b)) => a.extend_from_slice(b),
             (ColumnData::Int(a), ColumnData::Int(b)) => a.extend_from_slice(b),
@@ -550,6 +579,38 @@ mod tests {
 
     fn int_col(v: &[i64]) -> Column {
         Column::from_ints(v.to_vec())
+    }
+
+    fn int_capacity(c: &Column) -> usize {
+        match &*c.data {
+            ColumnData::Int(v) => v.capacity(),
+            _ => unreachable!("an int column"),
+        }
+    }
+
+    #[test]
+    fn snapshot_before_an_append_is_unchanged_after_it() {
+        let mut store = int_col(&[1, 2, 3]);
+        let snap = store.clone();
+        assert!(store.is_shared() && snap.shares_data(&store));
+        store.append(&int_col(&[4, 5])).unwrap();
+        assert_eq!(snap, int_col(&[1, 2, 3]));
+        assert_eq!(store, int_col(&[1, 2, 3, 4, 5]));
+        assert!(!store.is_shared() && !snap.is_shared());
+    }
+
+    #[test]
+    fn unsharing_append_leaves_growth_headroom() {
+        let mut store = int_col(&(0..1000).collect::<Vec<_>>());
+        let snap = store.clone();
+        store.append(&int_col(&[1000])).unwrap();
+        assert!(!store.shares_data(&snap));
+        assert_eq!(int_capacity(&store), 2000, "room for 2x the copied rows");
+        // a large append sizes the copy to fit it exactly, copying once
+        let mut store = int_col(&[1, 2]);
+        let _snap = store.clone();
+        store.append(&int_col(&[0; 10])).unwrap();
+        assert_eq!(int_capacity(&store), 12);
     }
 
     #[test]

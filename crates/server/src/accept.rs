@@ -1,4 +1,5 @@
-//! Blocking accept loops and the stop signal both daemons share.
+//! Blocking accept loops, the one connect helper, and the stop signal
+//! both daemons share.
 //!
 //! Every listener in `datacelld` and `dccluster` (control plane, receptor,
 //! emitter and trace ports) runs the same loop: block in `accept`, hand
@@ -7,9 +8,16 @@
 //! the loop drops uncounted. [`StopSignal`] is the daemon-wide stop latch:
 //! stopping it closes every acceptor registered with it and wakes timer
 //! threads waiting on it.
+//!
+//! Every TCP socket the daemons and the client library open passes through
+//! this module — accepted ones through [`Acceptor::run`], outgoing ones
+//! through [`connect`] — and both set `TCP_NODELAY`. Writers flush once per
+//! drained queue, so every flush ends a complete frame or response; Nagle's
+//! algorithm would hold it back until the peer's delayed ACK (≈ 40 ms)
+//! whenever an earlier write is still unacknowledged.
 
 use std::io;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -47,12 +55,13 @@ impl Acceptor {
             return false;
         }
         // wake the blocked accept; it sees the flag and drops this socket
-        let _ = TcpStream::connect_timeout(&self.wake, WAKE_TIMEOUT);
+        let _ = connect(self.wake, WAKE_TIMEOUT);
         true
     }
 
     /// Accept on the calling thread until closed, handing every connection
-    /// to `on_conn`. The listener is dropped (port released) on return.
+    /// to `on_conn` with `TCP_NODELAY` set. The listener is dropped (port
+    /// released) on return.
     pub fn run(&self, listener: TcpListener, mut on_conn: impl FnMut(TcpStream, SocketAddr)) {
         loop {
             let accepted = listener.accept();
@@ -60,7 +69,12 @@ impl Acceptor {
                 break;
             }
             match accepted {
-                Ok((sock, peer)) => on_conn(sock, peer),
+                Ok((sock, peer)) => {
+                    // fails only on a socket the peer already reset; the
+                    // connection's first read or write reports that
+                    let _ = sock.set_nodelay(true);
+                    on_conn(sock, peer)
+                }
                 Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
             }
         }
@@ -93,6 +107,26 @@ impl Acceptor {
             })
             .expect("spawn accept thread")
     }
+}
+
+/// Open a TCP connection to `addr` within `timeout` per resolved address,
+/// with `TCP_NODELAY` set. Every outgoing connection of the daemons and of
+/// the client library is made here. Tries each address `addr` resolves to
+/// in turn and returns the last error if none connects.
+pub fn connect(addr: impl ToSocketAddrs, timeout: Duration) -> io::Result<TcpStream> {
+    let mut last = None;
+    for addr in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&addr, timeout) {
+            Ok(sock) => {
+                sock.set_nodelay(true)?;
+                return Ok(sock);
+            }
+            Err(e) => last = Some(e),
+        }
+    }
+    Err(last.unwrap_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
+    }))
 }
 
 /// A daemon's one-way stop latch: a cheap flag for hot loops, a condvar
@@ -192,6 +226,22 @@ mod tests {
         drop(client);
         // the port is released
         assert!(TcpStream::connect(("127.0.0.1", acceptor.port())).is_err());
+    }
+
+    #[test]
+    fn accepted_and_connected_sockets_set_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let acceptor = StopSignal::default().acceptor(&listener).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let h = acceptor.spawn("test-nodelay".into(), listener, move |sock, _peer| {
+            let _ = tx.send(sock.nodelay().unwrap());
+            None
+        });
+        let client = connect(("127.0.0.1", acceptor.port()), WAKE_TIMEOUT).unwrap();
+        assert!(client.nodelay().unwrap(), "connect sets TCP_NODELAY");
+        assert!(rx.recv().unwrap(), "Acceptor::run sets TCP_NODELAY");
+        acceptor.close();
+        h.join().unwrap();
     }
 
     #[test]

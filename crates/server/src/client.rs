@@ -68,9 +68,15 @@ use datacell::frame::{self, WireFormat};
 use datacell::net::{encode_batch_text, parse_row};
 use monet::prelude::*;
 
+use crate::accept;
 use crate::error::{Result, ServerError};
 use crate::protocol::Response;
 use crate::stats::StatsReport;
+
+/// Upper bound on establishing any client connection (control, receptor
+/// or emitter port). Every socket is opened with `TCP_NODELAY`
+/// ([`accept::connect`]).
+pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Rows a [`ReceptorSink`] buffers before `send_row` auto-flushes them
 /// as one batch.
@@ -84,24 +90,19 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connect to a `datacelld` control port.
+    /// Connect to a `datacelld` control port within [`CONNECT_TIMEOUT`].
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        let server = stream.peer_addr()?;
-        let write_half = stream.try_clone()?;
-        Ok(Client {
-            reader: BufReader::new(stream),
-            writer: BufWriter::new(write_half),
-            server,
-        })
+        Client::open(accept::connect(addr, CONNECT_TIMEOUT)?)
     }
 
-    /// Connect with a bounded connect timeout. The cluster router uses
+    /// Connect with an explicit connect timeout. The cluster router uses
     /// this on its engine control sessions so a dead or unresponsive
-    /// host fails the connect in bounded time instead of hanging the
-    /// caller on the OS default.
+    /// host fails the connect within its control policy.
     pub fn connect_timeout(addr: &SocketAddr, timeout: Duration) -> Result<Client> {
-        let stream = TcpStream::connect_timeout(addr, timeout)?;
+        Client::open(accept::connect(addr, timeout)?)
+    }
+
+    fn open(stream: TcpStream) -> Result<Client> {
         let server = stream.peer_addr()?;
         let write_half = stream.try_clone()?;
         Ok(Client {
@@ -591,7 +592,7 @@ impl ReceptorSink {
     /// `send_row` writes wire lines directly (the pre-batch behavior).
     pub fn connect(addr: impl ToSocketAddrs) -> Result<ReceptorSink> {
         Ok(ReceptorSink {
-            writer: BufWriter::new(TcpStream::connect(addr)?),
+            writer: BufWriter::new(accept::connect(addr, CONNECT_TIMEOUT)?),
             format: WireFormat::Text,
             pending: None,
             text_buf: String::new(),
@@ -607,7 +608,7 @@ impl ReceptorSink {
         schema: &Schema,
     ) -> Result<ReceptorSink> {
         Ok(ReceptorSink {
-            writer: BufWriter::new(TcpStream::connect(addr)?),
+            writer: BufWriter::new(accept::connect(addr, CONNECT_TIMEOUT)?),
             format,
             pending: Some(Relation::new(schema)),
             text_buf: String::new(),
@@ -726,7 +727,7 @@ impl EmitterTap {
     /// Connect with an explicit wire format.
     pub fn connect_with(addr: impl ToSocketAddrs, format: WireFormat) -> Result<EmitterTap> {
         Ok(EmitterTap {
-            reader: BufReader::new(TcpStream::connect(addr)?),
+            reader: BufReader::new(accept::connect(addr, CONNECT_TIMEOUT)?),
             format,
             pending: std::collections::VecDeque::new(),
             wire_buf: Vec::new(),

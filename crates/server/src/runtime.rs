@@ -948,7 +948,9 @@ impl ServerRuntime {
 
 /// Drain one flight-recorder tap onto a trace subscriber socket until
 /// the tap closes (`TRACE ... OFF` / shutdown), the subscriber hangs
-/// up, or the server stops.
+/// up, or the server stops. Flushes once per drained queue, like the
+/// emitter: one segment per event when idle, many events per segment
+/// under load.
 fn trace_writer(
     rt: &ServerRuntime,
     port: &Acceptor,
@@ -959,7 +961,10 @@ fn trace_writer(
     loop {
         match rx.recv_timeout(POLL_INTERVAL) {
             Ok(line) => {
-                if writeln!(writer, "{line}").is_err() || writer.flush().is_err() {
+                let wrote = std::iter::once(line)
+                    .chain(rx.try_iter())
+                    .try_for_each(|line| writeln!(writer, "{line}"));
+                if wrote.and_then(|()| writer.flush()).is_err() {
                     break;
                 }
             }

@@ -21,6 +21,8 @@ pub struct BasketProbe {
     backpressure_waits: Arc<AtomicU64>,
     compactions: Arc<AtomicU64>,
     rows_in: Arc<AtomicU64>,
+    cow_copies: Arc<AtomicU64>,
+    cow_rows: Arc<AtomicU64>,
     /// Ingest timestamp ([`now_micros`]) of the oldest batch appended
     /// since the basket was last drained; `0` = unset. One CAS per
     /// batch, not per tuple.
@@ -43,6 +45,8 @@ impl BasketProbe {
             backpressure_waits: t.counter("dc_backpressure_waits_total", labels)?,
             compactions: t.counter("dc_compactions_total", labels)?,
             rows_in: t.counter("dc_ingest_rows_total", labels)?,
+            cow_copies: t.counter("dc_basket_cow_copies_total", labels)?,
+            cow_rows: t.counter("dc_basket_cow_rows_total", labels)?,
             watermark: AtomicU64::new(0),
             trace_batch: AtomicU64::new(0),
             trace_stamp: AtomicU64::new(0),
@@ -61,6 +65,15 @@ impl BasketProbe {
             Ordering::Relaxed,
             Ordering::Relaxed,
         );
+    }
+
+    /// An append found `columns` of the store still shared with a snapshot
+    /// and deep-copied them, `rows` rows in all (copy-on-write under the
+    /// basket lock).
+    #[inline]
+    pub fn note_cow_copy(&self, columns: usize, rows: usize) {
+        self.cow_copies.fetch_add(columns as u64, Ordering::Relaxed);
+        self.cow_rows.fetch_add(rows as u64, Ordering::Relaxed);
     }
 
     /// A traced batch was just appended: remember its id and the append
@@ -399,7 +412,10 @@ mod tests {
         p.note_backpressure(120);
         p.note_compaction(64);
         p.note_append_micros(5);
+        p.note_cow_copy(2, 2000);
         let body = t.render();
+        assert!(body.contains(&"dc_basket_cow_copies_total{stream=\"trades\"} 2".to_string()));
+        assert!(body.contains(&"dc_basket_cow_rows_total{stream=\"trades\"} 2000".to_string()));
         assert!(body
             .contains(&"dc_backpressure_waits_total{stream=\"trades\"} 1".to_string()));
         assert!(body.contains(&"dc_compactions_total{stream=\"trades\"} 1".to_string()));
