@@ -22,7 +22,7 @@ use std::time::Instant;
 use datacell::frame::WireFormat;
 use dc_bench::{arg, arg_opt, Figure, JsonReport};
 use dccluster::{bind_cluster, ClusterConfig};
-use dcserver::client::{Client, ShardedClient};
+use dcserver::client::Client;
 use monet::prelude::*;
 
 /// n tuples through a cluster with `shards` engines; returns elapsed
@@ -32,7 +32,7 @@ fn through_cluster(n: usize, shards: usize, batch: usize, writers: usize) -> f64
     let addr = cluster.local_addr().unwrap();
     let daemon = std::thread::spawn(move || cluster.serve());
 
-    let mut c = ShardedClient::from_client(Client::connect(addr).unwrap());
+    let mut c = Client::connect(addr).unwrap();
     c.create_sharded_stream("S", "(id int, v int)", "id", Some(shards))
         .unwrap();
     // 1% of v ∈ 0..1000 pass: the engines do real scan+delete work per

@@ -29,7 +29,7 @@ use std::time::Instant;
 use datacell::frame::WireFormat;
 use dc_bench::{arg, arg_opt, secs, Figure, JsonReport};
 use dcserver::client::Client;
-use dcserver::{bind, ServerConfig};
+use dcserver::{bind, ControlPlane, ServerConfig};
 use monet::prelude::*;
 
 fn temp_dir(tag: &str) -> PathBuf {

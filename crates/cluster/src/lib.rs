@@ -25,10 +25,11 @@
 //!  (one logical port)   └─────────────────────────────────────┘
 //! ```
 //!
-//! * **Control plane** — identical grammar to `datacelld`
-//!   ([`dcserver::protocol`]); `CREATE STREAM ... SHARD BY` declares a
-//!   partitioned stream, `REGISTER QUERY` fans out to every shard,
-//!   `STATS` aggregates across them.
+//! * **Control plane** — the same verb table, dispatch and server as
+//!   `datacelld` ([`dcserver::control`]), with [`ClusterRuntime`] as the
+//!   verbs' fan-out implementation; `CREATE STREAM ... SHARD BY` declares
+//!   a partitioned stream, `REGISTER QUERY` fans out to every shard,
+//!   `STATS` folds the shards' reports ([`dcserver::stats::fold`]).
 //! * **Ingest** — the logical receptor port decodes client batches
 //!   (text or binary), slices each one column-wise by partition key
 //!   ([`datacell::partition::Partitioner`] — a typed gather per column,
@@ -47,13 +48,13 @@
 //!
 //! ```no_run
 //! use dccluster::{bind_cluster, ClusterConfig};
-//! use dcserver::client::ShardedClient;
+//! use dcserver::client::Client;
 //!
 //! let cluster = bind_cluster("127.0.0.1:0", ClusterConfig::in_process(2)).unwrap();
 //! let addr = cluster.local_addr().unwrap();
 //! std::thread::spawn(move || cluster.serve());
 //!
-//! let mut c = ShardedClient::connect(addr).unwrap();
+//! let mut c = Client::connect(addr).unwrap();
 //! c.create_sharded_stream("S", "(id int, v int)", "id", None).unwrap();
 //! c.register_query("hot", "select id from [select * from S] as Z where Z.v > 10")
 //!     .unwrap();
@@ -62,32 +63,37 @@
 //! # let _ = (rport, eport);
 //! ```
 
-pub mod control;
 pub mod engines;
 pub mod relay;
 pub mod repl;
 pub mod router;
 
-pub use control::ClusterControl;
 pub use engines::{ShardEngine, ShardSpec};
 pub use relay::FrameRelay;
 pub use router::{ClusterConfig, ClusterRuntime};
 
+use dcserver::control::ControlServer;
 use dcserver::error::Result;
 
-/// Boot the shard engines and bind the router's control plane.
+/// Boot the shard engines and bind the router's control plane — the
+/// same [`ControlServer`] a single engine serves, over the router's
+/// [`ControlPlane`](dcserver::control::ControlPlane) implementation.
 ///
-/// Returns the bound control server; call [`ClusterControl::serve`] to
-/// run it (blocking) and [`ClusterControl::local_addr`] for the actual
-/// port when binding ephemeral.
-pub fn bind_cluster(control_addr: &str, config: ClusterConfig) -> Result<ClusterControl> {
+/// Call [`ControlServer::serve`] to run it (blocking) and
+/// [`ControlServer::local_addr`] for the actual port when binding
+/// ephemeral.
+pub fn bind_cluster(
+    control_addr: &str,
+    config: ClusterConfig,
+) -> Result<ControlServer<ClusterRuntime>> {
     let runtime = ClusterRuntime::new(config)?;
-    ClusterControl::bind(control_addr, runtime)
+    ControlServer::bind(control_addr, runtime)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcserver::control::ControlPlane;
 
     #[test]
     fn bind_boots_engines_on_ephemeral_ports() {

@@ -70,7 +70,7 @@ pub struct ReplState {
     opened: std::collections::HashSet<(String, usize)>,
     /// Last observed replication lag (rows acknowledged by the primary
     /// but not yet on the follower's disk).
-    lag: std::collections::HashMap<(String, usize), u64>,
+    pub(crate) lag: std::collections::HashMap<(String, usize), u64>,
     /// Stall tracking per pair.
     stall: std::collections::HashMap<(String, usize), Stall>,
 }
@@ -195,39 +195,6 @@ impl ClusterRuntime {
             }
         }
         Ok(lag)
-    }
-
-    /// `REPL STATUS <stream>` on the router: one replication line per
-    /// shard of the stream.
-    pub fn repl_status_lines(&self, stream: &str) -> Result<Vec<String>> {
-        let entry = self
-            .streams
-            .lock()
-            .get(stream)
-            .cloned()
-            .ok_or_else(|| ServerError::Unknown(format!("stream {stream}")))?;
-        let st = self.repl.lock();
-        let mut body = Vec::new();
-        for &eid in &entry.engines {
-            let slot = &self.slots[eid];
-            let follower = slot
-                .follower()
-                .map(|f| f.addr().to_string())
-                .unwrap_or_else(|| "-".to_string());
-            let lag = st
-                .lag
-                .get(&(stream.to_string(), eid))
-                .map(|l| l.to_string())
-                .unwrap_or_else(|| "-".to_string());
-            body.push(format!(
-                "shard {eid} primary={} follower={follower} lag_rows={lag} \
-                 stalled={} failovers={}",
-                slot.primary().addr(),
-                slot.is_stalled(),
-                slot.failovers(),
-            ));
-        }
-        Ok(body)
     }
 
     /// Fail shard `eid` over to its follower. CAS-guarded: concurrent

@@ -31,10 +31,14 @@ use datacell::frame::{self, WireFormat};
 use datacell::partition::Partitioner;
 use dcsql::ast::{CreateKind, Stmt};
 use dcserver::accept::{Acceptor, StopSignal};
+use dcserver::control::ControlPlane;
 use dcserver::error::{Result, ServerError};
-use dcserver::runtime::{read_stream, read_text_batches, POLL_INTERVAL};
+use dcserver::runtime::{capture_metrics, read_stream, read_text_batches, POLL_INTERVAL};
 use dcserver::session::SessionManager;
-use dcserver::stats::StatsReport;
+use dcserver::stats::{
+    fold, BasketStats, EmitterStats, QueryStats, ReceptorStats, RelayStats, ServerStats,
+    ShardStats, StatsReport, StreamStats,
+};
 use dcserver::ServerConfig;
 use monet::prelude::*;
 use parking_lot::{Mutex, RwLock};
@@ -323,13 +327,7 @@ impl ClusterRuntime {
                 Ok(ShardSlot::new(primary, follower))
             })
             .collect::<Result<Vec<_>>>()?;
-        let telemetry = if config.engine.telemetry_enabled {
-            let t = dctrace::Telemetry::enabled_with_ring(config.engine.trace_ring);
-            t.set_trace_sampling(config.engine.trace_sample);
-            t
-        } else {
-            dctrace::Telemetry::disabled()
-        };
+        let telemetry = config.engine.telemetry();
         let history = Arc::new(dctrace::MetricsHistory::new(config.engine.metrics_depth));
         let has_followers = slots.iter().any(|s| s.follower.lock().is_some());
         let rt = Arc::new(ClusterRuntime {
@@ -354,46 +352,20 @@ impl ClusterRuntime {
             drain_taps: AtomicBool::new(false),
             started_at: Instant::now(),
         });
+        // the metrics snapshotter (cluster-wide history ring, windowed
+        // and health gauges) and the replication pump (segments + WAL
+        // tail of every persistent stream, primary to follower)
+        let mut timers = Vec::new();
         if rt.telemetry.is_enabled() {
-            rt.spawn_snapshotter();
+            let interval = rt.config.engine.metrics_interval;
+            timers.push(rt.spawn_timer("dcc-metrics", interval, |rt| rt.capture_metrics_now()));
         }
         if has_followers {
-            rt.spawn_repl_pump();
+            let interval = rt.config.repl_interval;
+            timers.push(rt.spawn_timer("dcc-repl", interval, |rt| rt.pump_replication_now()));
         }
+        rt.ingress_threads.lock().extend(timers);
         Ok(rt)
-    }
-
-    /// Background replication pump: every `repl_interval`, ship sealed
-    /// segments + the WAL tail of every persistent stream from each
-    /// shard's primary to its follower.
-    fn spawn_repl_pump(self: &Arc<Self>) {
-        let rt = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name("dcc-repl".into())
-            .spawn(move || {
-                while !rt.stop.wait_timeout(rt.config.repl_interval) {
-                    rt.pump_replication_now();
-                }
-            })
-            .expect("spawn cluster replication pump");
-        self.ingress_threads.lock().push(handle);
-    }
-
-    /// Background metrics snapshotter (the router-side twin of the
-    /// engine's): every `metrics_interval`, capture the aggregated
-    /// cluster exposition into the history ring and refresh the
-    /// windowed + health gauges.
-    fn spawn_snapshotter(self: &Arc<Self>) {
-        let rt = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name("dcc-metrics".into())
-            .spawn(move || {
-                while !rt.stop.wait_timeout(rt.config.engine.metrics_interval) {
-                    rt.capture_metrics_now();
-                }
-            })
-            .expect("spawn cluster metrics snapshotter");
-        self.ingress_threads.lock().push(handle);
     }
 
     /// Capture one cluster-wide metrics snapshot into the history ring,
@@ -405,21 +377,8 @@ impl ClusterRuntime {
         if !self.telemetry.is_enabled() {
             return;
         }
-        let lines = self.metrics();
-        self.history.capture(&lines, dctrace::now_micros());
-        if let Some((prev, curr)) = self.history.last_two() {
-            for s in dctrace::windowed_gauges(&prev, &curr) {
-                // re-key through static names: the registry interns
-                // series under `&'static str` metric names
-                let name = match s.name.as_str() {
-                    "dc_ingest_rate" => "dc_ingest_rate",
-                    "dc_fire_p99_window_micros" => "dc_fire_p99_window_micros",
-                    _ => continue,
-                };
-                self.telemetry.set_gauge_rendered(name, s.labels, s.value);
-            }
-        }
-        self.poll_shard_health();
+        capture_metrics(&self.telemetry, &self.history, &self.metrics());
+        let _ = self.health();
     }
 
     pub fn engine_count(&self) -> usize {
@@ -438,30 +397,8 @@ impl ClusterRuntime {
         self.slots.iter().map(|s| s.primary()).collect()
     }
 
-    pub fn is_stopping(&self) -> bool {
-        self.stop.is_stopped()
-    }
-
-    /// The stop signal: tripped by [`ClusterRuntime::request_shutdown`];
-    /// acceptors made through it close with it.
-    pub fn stop_signal(&self) -> &StopSignal {
-        &self.stop
-    }
-
-    pub fn request_shutdown(&self) {
-        self.stop.stop();
-    }
-
     pub fn uptime(&self) -> Duration {
         self.started_at.elapsed()
-    }
-
-    fn ensure_running(&self) -> Result<()> {
-        if self.is_stopping() {
-            Err(ServerError::ShuttingDown)
-        } else {
-            Ok(())
-        }
     }
 
     /// Engine ids ordered by current ingest load (ascending) — the
@@ -486,49 +423,6 @@ impl ClusterRuntime {
         let mut ids: Vec<usize> = loads.into_iter().map(|(_, id)| id).collect();
         ids.sort_unstable(); // stable shard-index → engine mapping
         ids
-    }
-
-    // ---- control-plane operations ---------------------------------------
-
-    /// Plain (unsharded) DDL. `CREATE TABLE`/`CREATE BASKET` fan out to
-    /// every engine (reference data must resolve everywhere); a plain
-    /// `CREATE STREAM` becomes a single-shard stream placed on the
-    /// least-loaded engine.
-    pub fn ddl(&self, sql: &str) -> Result<Vec<String>> {
-        self.ensure_running()?;
-        let (kind, name, schema) = parse_create(sql)?;
-        match kind {
-            CreateKind::Stream => {
-                self.create_stream_entry(sql, &name, schema, None, Some(1), false)
-            }
-            CreateKind::Table | CreateKind::Basket => {
-                let all: Vec<usize> = (0..self.slots.len()).collect();
-                self.forward_create(&name, sql, sql, &all)?;
-                // reference data must also resolve on a promoted
-                // follower: best-effort fan-out, duplicates tolerated
-                // (a follower that already has it from an earlier
-                // attempt), hard failures mark the shard stalled so
-                // the gap is visible before any promotion relies on it
-                for (eid, slot) in self.slots.iter().enumerate() {
-                    let Some(f) = slot.follower() else { continue };
-                    match f.control(|c| c.request(sql)) {
-                        Ok(_) => {}
-                        Err(e) if e.to_string().contains("duplicate") => {}
-                        Err(_) => {
-                            slot.set_stalled(true);
-                            if let Some(rec) = self.telemetry.recorder() {
-                                rec.record(
-                                    "replication",
-                                    None,
-                                    format!("shard={eid} follower missed DDL {name}"),
-                                );
-                            }
-                        }
-                    }
-                }
-                Ok(Vec::new())
-            }
-        }
     }
 
     /// Engine set recorded by a failed partial CREATE of `name` with
@@ -576,39 +470,6 @@ impl ClusterRuntime {
         }
         self.failed_creates.lock().remove(name);
         Ok(())
-    }
-
-    /// `CREATE STREAM ... PERSIST` (unsharded): a single-shard durable
-    /// stream placed on the least-loaded engine. The shard engine does
-    /// the actual WAL/segment work — it must run with a `--data-dir`.
-    pub fn create_persistent(&self, ddl: &str, stream: &str) -> Result<Vec<String>> {
-        self.ensure_running()?;
-        let (kind, name, schema) = parse_create(ddl)?;
-        if kind != CreateKind::Stream || name != stream {
-            return Err(ServerError::Protocol(format!(
-                "PERSIST applies to CREATE STREAM {stream}, got {ddl:?}"
-            )));
-        }
-        self.create_stream_entry(ddl, stream, schema, None, Some(1), true)
-    }
-
-    /// `CREATE STREAM ... [PERSIST] SHARD BY (key) [SHARDS n]`.
-    pub fn create_sharded(
-        &self,
-        ddl: &str,
-        stream: &str,
-        key: &str,
-        shards: Option<usize>,
-        persist: bool,
-    ) -> Result<Vec<String>> {
-        self.ensure_running()?;
-        let (kind, name, schema) = parse_create(ddl)?;
-        if kind != CreateKind::Stream || name != stream {
-            return Err(ServerError::Protocol(format!(
-                "SHARD BY applies to CREATE STREAM {stream}, got {ddl:?}"
-            )));
-        }
-        self.create_stream_entry(ddl, stream, schema, Some(key), shards, persist)
     }
 
     /// Shared CREATE STREAM path. `key = None` → unsharded; `shards =
@@ -682,11 +543,10 @@ impl ClusterRuntime {
                 persist,
             });
             self.streams.lock().insert(stream.to_string(), entry);
-            let engine_list: Vec<String> = engines.iter().map(usize::to_string).collect();
             let mut line = format!(
                 "stream={stream} shards={n} key={} engines={}",
                 key.unwrap_or("-"),
-                engine_list.join(",")
+                engine_list(&engines)
             );
             if persist {
                 line.push_str(" persistent=true");
@@ -696,6 +556,139 @@ impl ClusterRuntime {
         self.in_flight_creates.lock().remove(stream);
         result
     }
+}
+
+impl ControlPlane for ClusterRuntime {
+    fn stop_signal(&self) -> &StopSignal {
+        &self.stop
+    }
+
+    fn sessions(&self) -> &SessionManager {
+        &self.sessions
+    }
+
+    fn request_shutdown(&self) {
+        self.stop.stop();
+    }
+
+    /// Graceful teardown in dependency order: stop taking ingest, flush
+    /// final batches into the shards, shut the shard engines down (they
+    /// drain and close their emitter streams), drain the relays, join
+    /// everything.
+    fn shutdown(&self) {
+        self.request_shutdown();
+        // 1. receptor accept loops + ingest connections wind down; their
+        //    per-shard forwarders flush and close, so the shard engines
+        //    see EOF on every router ingest socket
+        for t in std::mem::take(&mut *self.ingress_threads.lock()) {
+            let _ = t.join();
+        }
+        // 2. in-process shard engines shut down gracefully (factories
+        //    drain, final results flush, emitter sockets close);
+        //    followers after primaries, so the last pump tick's writes
+        //    are already on the follower's disk
+        for slot in &self.slots {
+            slot.primary().shutdown();
+        }
+        for slot in &self.slots {
+            if let Some(f) = slot.follower() {
+                f.shutdown();
+            }
+        }
+        // 3. shard taps see EOF and publish their final chunks (the
+        //    drain flag releases taps on remote engines that never
+        //    close); emitter accept loops closed with the stop signal
+        self.drain_taps.store(true, Ordering::Release);
+        for t in std::mem::take(&mut *self.egress_threads.lock()) {
+            let _ = t.join();
+        }
+        // 4. disconnect subscriber channels and join the writers —
+        //    DETACHed emitter ports included, their subscribers may
+        //    still be draining
+        let mut eports: Vec<Arc<ClusterEmitterPort>> = self.emitters.lock().clone();
+        eports.extend(self.detached_emitters.lock().drain(..));
+        for eport in &eports {
+            eport.relay.close();
+        }
+        for eport in &eports {
+            for w in std::mem::take(&mut *eport.writers.lock()) {
+                let _ = w.join();
+            }
+        }
+        let tports: Vec<Arc<ClusterTracePort>> = self.trace_ports.lock().clone();
+        for tport in &tports {
+            tport.relay.close();
+        }
+        for tport in &tports {
+            for w in std::mem::take(&mut *tport.writers.lock()) {
+                let _ = w.join();
+            }
+        }
+    }
+
+    /// Plain (unsharded) DDL. `CREATE TABLE`/`CREATE BASKET` fan out to
+    /// every engine (reference data must resolve everywhere); a plain
+    /// `CREATE STREAM` becomes a single-shard stream placed on the
+    /// least-loaded engine.
+    fn ddl(&self, sql: &str) -> Result<Vec<String>> {
+        self.ensure_running()?;
+        let (kind, name, schema) = parse_create(sql)?;
+        match kind {
+            CreateKind::Stream => {
+                self.create_stream_entry(sql, &name, schema, None, Some(1), false)
+            }
+            CreateKind::Table | CreateKind::Basket => {
+                let all: Vec<usize> = (0..self.slots.len()).collect();
+                self.forward_create(&name, sql, sql, &all)?;
+                // reference data must also resolve on a promoted
+                // follower: best-effort fan-out, duplicates tolerated
+                // (a follower that already has it from an earlier
+                // attempt), hard failures mark the shard stalled so
+                // the gap is visible before any promotion relies on it
+                for (eid, slot) in self.slots.iter().enumerate() {
+                    let Some(f) = slot.follower() else { continue };
+                    match f.control(|c| c.request(sql)) {
+                        Ok(_) => {}
+                        Err(e) if e.to_string().contains("duplicate") => {}
+                        Err(_) => {
+                            slot.set_stalled(true);
+                            if let Some(rec) = self.telemetry.recorder() {
+                                rec.record(
+                                    "replication",
+                                    None,
+                                    format!("shard={eid} follower missed DDL {name}"),
+                                );
+                            }
+                        }
+                    }
+                }
+                Ok(Vec::new())
+            }
+        }
+    }
+
+    /// `CREATE STREAM ... PERSIST` (unsharded): a single-shard durable
+    /// stream placed on the least-loaded engine. The shard engine does
+    /// the actual WAL/segment work — it must run with a `--data-dir`.
+    fn create_persistent(&self, ddl: &str, stream: &str) -> Result<Vec<String>> {
+        self.ensure_running()?;
+        let schema = parse_stream_create(ddl, stream, "PERSIST")?;
+        self.create_stream_entry(ddl, stream, schema, None, Some(1), true)
+    }
+
+    /// `CREATE STREAM ... [PERSIST] SHARD BY (key) [SHARDS n]`.
+    fn create_sharded(
+        &self,
+        ddl: &str,
+        stream: &str,
+        key: &str,
+        shards: Option<usize>,
+        persist: bool,
+    ) -> Result<Vec<String>> {
+        self.ensure_running()?;
+        let schema = parse_stream_create(ddl, stream, "SHARD BY")?;
+        self.create_stream_entry(ddl, stream, schema, Some(key), shards, persist)
+    }
 
     /// One-shot SQL, fanned out to every engine. Only statements whose
     /// N-way execution is equivalent to single-engine execution are
@@ -703,7 +696,7 @@ impl ClusterRuntime {
     /// SELECTs are rejected with a pointer to the data plane, because
     /// fanning them out would duplicate data N× or return one shard's
     /// slice as if it were the whole answer.
-    pub fn exec(&self, sql: &str) -> Result<Vec<String>> {
+    fn exec(&self, sql: &str) -> Result<Vec<String>> {
         self.ensure_running()?;
         let stmts = dcsql::parse_statements(sql)
             .map_err(|e| ServerError::Protocol(format!("EXEC: {e}")))?;
@@ -743,7 +736,7 @@ impl ClusterRuntime {
     }
 
     /// Register a continuous query on every engine that can resolve it.
-    pub fn register_query(&self, name: &str, sql: &str) -> Result<Vec<String>> {
+    fn register_query(&self, name: &str, sql: &str) -> Result<Vec<String>> {
         self.ensure_running()?;
         // as in create_stream_entry: never hold the map lock across the
         // engine round-trips — a slow shard stalls this registration only
@@ -809,7 +802,7 @@ impl ClusterRuntime {
                 .unwrap_or_else(|| ServerError::Unknown(format!("query {name}"))));
         }
         self.failed_registers.lock().remove(name);
-        let engine_list: Vec<String> = engines.iter().map(usize::to_string).collect();
+        let engine_ids = engine_list(&engines);
         let mut queries = self.queries.lock();
         if queries.contains_key(name) {
             // raced with a concurrent identical registration; the shard
@@ -830,8 +823,7 @@ impl ClusterRuntime {
         // engines that declined, and one detail line per declined
         // engine carries its exact error
         let mut body = vec![format!(
-            "query={name} kind={kind} engines={} skipped={}",
-            engine_list.join(","),
+            "query={name} kind={kind} engines={engine_ids} skipped={}",
             skipped.len()
         )];
         for (eid, msg) in &skipped {
@@ -842,7 +834,7 @@ impl ClusterRuntime {
 
     /// `FLUSH STREAM <name>`: seal every shard's open basket rows into
     /// segments. Returns the total rows sealed across shards.
-    pub fn flush_stream(&self, stream: &str) -> Result<u64> {
+    fn flush_stream(&self, stream: &str) -> Result<u64> {
         self.ensure_running()?;
         let entry = self
             .streams
@@ -859,14 +851,14 @@ impl ClusterRuntime {
 
     /// `EXPLAIN <sql>`: plan compilation is identical on every engine
     /// (same binary, same compiler), so forward to the first one.
-    pub fn explain_sql(&self, sql: &str) -> Result<Vec<String>> {
+    fn explain_sql(&self, sql: &str) -> Result<Vec<String>> {
         self.ensure_running()?;
         self.engine(0).control(|c| c.explain(sql))
     }
 
     /// `EXPLAIN QUERY <name>`: forward to an engine hosting the query
     /// (registration fans out, so any resolving engine has the plan).
-    pub fn explain_query(&self, name: &str) -> Result<Vec<String>> {
+    fn explain_query(&self, name: &str) -> Result<Vec<String>> {
         self.ensure_running()?;
         let eid = {
             let queries = self.queries.lock();
@@ -882,7 +874,7 @@ impl ClusterRuntime {
 
     /// Open a logical receptor port for `stream`; port 0 picks an
     /// ephemeral port. Behind it, one binary receptor per shard engine.
-    pub fn attach_receptor(
+    fn attach_receptor(
         self: &Arc<Self>,
         stream: &str,
         port: u16,
@@ -958,7 +950,7 @@ impl ClusterRuntime {
     /// Open a logical emitter port for `query`; port 0 picks an ephemeral
     /// port. Behind it, one emitter subscription per shard engine, all
     /// merged into every subscriber.
-    pub fn attach_emitter(
+    fn attach_emitter(
         self: &Arc<Self>,
         query: &str,
         port: u16,
@@ -1038,7 +1030,7 @@ impl ClusterRuntime {
     /// close the shard-side receptor ports behind it. Established ingest
     /// connections drain until their peers hang up. Returns how many
     /// shard-side ports were detached.
-    pub fn detach_receptor(&self, stream: &str, port: u16) -> Result<usize> {
+    fn detach_receptor(&self, stream: &str, port: u16) -> Result<usize> {
         let rport = {
             let mut receptors = self.receptors.lock();
             let idx = receptors
@@ -1068,7 +1060,7 @@ impl ClusterRuntime {
     /// the retired port is kept aside so shutdown still drains its
     /// relay and joins its writers. Returns how many shard-side ports
     /// were detached.
-    pub fn detach_emitter(&self, query: &str, port: u16) -> Result<usize> {
+    fn detach_emitter(&self, query: &str, port: u16) -> Result<usize> {
         let eport = {
             let mut emitters = self.emitters.lock();
             let idx = emitters
@@ -1105,7 +1097,7 @@ impl ClusterRuntime {
     /// across shards is meaningless, and the router re-derives the
     /// cluster-level versions from its own snapshot history (and
     /// republishes health as `dc_health_score{shard}`).
-    pub fn metrics(&self) -> Vec<String> {
+    fn metrics(&self) -> Vec<String> {
         if self.telemetry.is_enabled() {
             self.telemetry
                 .set_gauge("dc_uptime_seconds", &[], self.uptime().as_secs_f64());
@@ -1136,7 +1128,7 @@ impl ClusterRuntime {
     /// Aggregated `TRACE DUMP`: every shard's flight-recorder events
     /// (each line prefixed `shard=<id>`), then the router's own events
     /// (prefixed `shard=router`).
-    pub fn trace_dump(&self, query: Option<&str>) -> Result<Vec<String>> {
+    fn trace_dump(&self, query: Option<&str>) -> Result<Vec<String>> {
         let mut body = Vec::new();
         for (id, slot) in self.slots.iter().enumerate() {
             let lines = slot.primary().control(|c| match query {
@@ -1157,7 +1149,7 @@ impl ClusterRuntime {
 
     /// `METRICS HISTORY [series] [LAST n]` over the router's ring of
     /// cluster-wide snapshots.
-    pub fn metrics_history(&self, series: Option<&str>, last: Option<usize>) -> Result<Vec<String>> {
+    fn metrics_history(&self, series: Option<&str>, last: Option<usize>) -> Result<Vec<String>> {
         if !self.telemetry.is_enabled() {
             return Err(ServerError::Protocol(
                 "telemetry is disabled on this cluster".into(),
@@ -1170,7 +1162,7 @@ impl ClusterRuntime {
     /// by batch id, every span line re-tagged with its origin recorder
     /// (`shard=<id>`, router-local spans as `shard=router`), so one
     /// sampled batch reads as a single cross-process tree.
-    pub fn trace_spans(&self, batch: Option<u64>) -> Result<Vec<String>> {
+    fn trace_spans(&self, batch: Option<u64>) -> Result<Vec<String>> {
         let mut groups: Vec<(u64, Vec<String>)> = Vec::new();
         let mut add = |id: u64, line: String| match groups.iter_mut().find(|(b, _)| *b == id) {
             Some((_, lines)) => lines.push(line),
@@ -1201,8 +1193,9 @@ impl ClusterRuntime {
     ///
     /// This poll is also the failure detector: `failover_misses`
     /// consecutive unreachable polls on a shard with a follower trigger
-    /// [`ClusterRuntime::promote_shard`].
-    fn poll_shard_health(self: &Arc<Self>) -> Vec<String> {
+    /// [`ClusterRuntime::promote_shard`]. The metrics snapshotter runs
+    /// it every tick, so scraping `HEALTH` and `METRICS` stays consistent.
+    fn health(self: &Arc<Self>) -> Result<Vec<String>> {
         const REASONS: [&str; 6] = [
             "unreachable",
             "ingest_stalled",
@@ -1251,21 +1244,14 @@ impl ClusterRuntime {
                 slot.primary().addr()
             ));
         }
-        body
-    }
-
-    /// `HEALTH` on the router: one freshly-polled line per shard (the
-    /// gauges refresh as a side effect, so scraping `HEALTH` and
-    /// `METRICS` stays consistent).
-    pub fn health(self: &Arc<Self>) -> Result<Vec<String>> {
-        Ok(self.poll_shard_health())
+        Ok(body)
     }
 
     /// `TRACE QUERY <q> ON`: one logical trace-stream port fronting the
     /// query's shards. Each shard's live event stream (text lines) is
     /// relayed into every subscriber, exactly like result merging.
     /// Returns the bound port.
-    pub fn trace_on(self: &Arc<Self>, query: &str) -> Result<u16> {
+    fn trace_on(self: &Arc<Self>, query: &str) -> Result<u16> {
         self.ensure_running()?;
         let entry = self
             .queries
@@ -1312,23 +1298,23 @@ impl ClusterRuntime {
     }
 
     /// `TRACE QUERY <q> OFF`: close the shard-side taps (their streams
-    /// end, the router taps see EOF), retire the logical ports, end
-    /// subscriber streams. Returns how many shards were told to stop.
-    pub fn trace_off(&self, query: &str) -> Result<usize> {
+    /// end, the router taps see EOF), retire the logical ports and end
+    /// their subscriber streams. Returns how many subscriber streams
+    /// ended, as an engine counts its closed taps.
+    fn trace_off(&self, query: &str) -> Result<usize> {
         let entry = self
             .queries
             .lock()
             .get(query)
             .cloned()
             .ok_or_else(|| ServerError::Unknown(format!("query {query}")))?;
-        let mut closed = 0usize;
         for &eid in &entry.engines {
-            if self.engine(eid).control(|c| c.trace_off(query)).is_ok() {
-                closed += 1;
-            }
+            let _ = self.engine(eid).control(|c| c.trace_off(query));
         }
+        let mut closed = 0usize;
         let mut ports = self.trace_ports.lock();
         for p in ports.iter().filter(|p| p.query == query) {
+            closed += p.relay.subscriber_count();
             p.acceptor.close();
             p.relay.close();
         }
@@ -1336,259 +1322,151 @@ impl ClusterRuntime {
         Ok(closed)
     }
 
-    // ---- introspection ---------------------------------------------------
-
-    /// Aggregated `STATS`: cluster-level lines in the same `kind name
-    /// k=v` shape as a single engine (so [`StatsReport`] parses them),
-    /// with per-stream/per-query metrics **summed across shards**, plus
-    /// one `shard` summary line per engine.
-    pub fn stats(&self) -> Vec<String> {
-        let primaries = self.primaries();
-        let reports: Vec<Option<StatsReport>> =
-            primaries.iter().map(|e| e.stats().ok()).collect();
-        let streams = self.streams.lock();
-        let queries = self.queries.lock();
-        let receptors = self.receptors.lock();
-        let emitters = self.emitters.lock();
+    /// `REPL STATUS <stream>` on the router: one replication line per
+    /// shard of the stream.
+    fn repl_status(&self, stream: &str) -> Result<Vec<String>> {
+        let entry = self
+            .streams
+            .lock()
+            .get(stream)
+            .cloned()
+            .ok_or_else(|| ServerError::Unknown(format!("stream {stream}")))?;
+        let st = self.repl.lock();
         let mut body = Vec::new();
-        body.push(format!(
-            "server uptime_micros={} sessions={} queries={} receptor_ports={} \
-             emitter_ports={} engines={} streams={}",
-            self.uptime().as_micros(),
-            self.sessions.live_count(),
-            queries.len(),
-            receptors.len(),
-            emitters.len(),
-            self.slots.len(),
-            streams.len(),
-        ));
-        let mut stream_names: Vec<&String> = streams.keys().collect();
-        stream_names.sort();
-        for name in stream_names {
-            let s = &streams[name];
-            let engine_list: Vec<String> = s.engines.iter().map(usize::to_string).collect();
-            body.push(format!(
-                "stream {} shards={} key={} engines={}",
-                s.name,
-                s.engines.len(),
-                s.key.as_deref().unwrap_or("-"),
-                engine_list.join(","),
-            ));
-            // aggregate the per-shard basket rows
-            let (mut len, mut total_in, mut total_out, mut dropped) = (0u64, 0u64, 0u64, 0u64);
-            let (mut high_water, mut cap) = (0u64, 0u64);
-            let (mut pending_deletes, mut compactions) = (0u64, 0u64);
-            let (mut persistent, mut wal_bytes, mut segments) = (false, 0u64, 0u64);
-            let mut wal_fsync_p99 = 0u64;
-            for &eid in &s.engines {
-                if let Some(b) = reports[eid].as_ref().and_then(|r| r.basket(&s.name)) {
-                    len += b.len;
-                    total_in += b.total_in;
-                    total_out += b.total_out;
-                    dropped += b.dropped;
-                    high_water = high_water.max(b.high_water);
-                    cap = cap.max(b.cap);
-                    pending_deletes += b.pending_deletes;
-                    compactions += b.compactions;
-                    persistent |= b.persistent;
-                    wal_bytes += b.wal_bytes;
-                    segments += b.segments;
-                    // quantiles don't sum — report the slowest shard
-                    wal_fsync_p99 = wal_fsync_p99.max(b.wal_fsync_p99_micros);
-                }
-            }
-            let mut line = format!(
-                "basket {} len={len} enabled=true in={total_in} out={total_out} \
-                 dropped={dropped} high_water={high_water} cap={cap} \
-                 pending_deletes={pending_deletes} compactions={compactions} \
-                 persistent={persistent} wal_bytes={wal_bytes} segments={segments}",
-                s.name
-            );
-            if persistent {
-                line.push_str(&format!(" wal_fsync_p99_micros={wal_fsync_p99}"));
-            }
-            body.push(line);
-        }
-        let mut query_names: Vec<&String> = queries.keys().collect();
-        query_names.sort();
-        for name in query_names {
-            let q = &queries[name];
-            let mut agg = dcserver::stats::QueryStats {
-                name: q.name.clone(),
-                ..Default::default()
-            };
-            for &eid in &q.engines {
-                if let Some(row) = reports[eid].as_ref().and_then(|r| r.query(&q.name)) {
-                    agg.firings += row.firings;
-                    agg.consumed += row.consumed;
-                    agg.produced += row.produced;
-                    agg.busy_micros += row.busy_micros;
-                    agg.lock_micros += row.lock_micros;
-                    agg.rows_scanned += row.rows_scanned;
-                    agg.rows_out += row.rows_out;
-                    agg.plan_micros += row.plan_micros;
-                    agg.delta_rows += row.delta_rows;
-                    agg.full_reexecutes += row.full_reexecutes;
-                    // a gauge, but shard states are disjoint — the
-                    // cluster-wide footprint is their sum
-                    agg.arrangement_bytes += row.arrangement_bytes;
-                    agg.delivered_batches += row.delivered_batches;
-                    agg.delivered_tuples += row.delivered_tuples;
-                    agg.dropped_batches += row.dropped_batches;
-                    // latency quantiles don't sum — report the worst
-                    // shard (a conservative cluster-level summary)
-                    agg.p50_micros = agg.p50_micros.max(row.p50_micros);
-                    agg.p99_micros = agg.p99_micros.max(row.p99_micros);
-                    agg.max_micros = agg.max_micros.max(row.max_micros);
-                }
-            }
-            // subscribers are router-side: sockets on this query's
-            // logical emitter ports
-            let subscribers: usize = emitters
-                .iter()
-                .filter(|e| e.query == q.name)
-                .map(|e| e.relay.subscriber_count())
-                .sum();
-            let engine_list: Vec<String> = q.engines.iter().map(usize::to_string).collect();
-            body.push(format!(
-                "query {} firings={} consumed={} produced={} busy_micros={} lock_micros={} \
-                 rows_scanned={} rows_out={} plan_micros={} \
-                 delta_rows={} full_reexecutes={} arrangement_bytes={} \
-                 subscribers={} delivered_batches={} delivered_tuples={} dropped_batches={} \
-                 p50_micros={} p99_micros={} max_micros={} engines={}",
-                agg.name,
-                agg.firings,
-                agg.consumed,
-                agg.produced,
-                agg.busy_micros,
-                agg.lock_micros,
-                agg.rows_scanned,
-                agg.rows_out,
-                agg.plan_micros,
-                agg.delta_rows,
-                agg.full_reexecutes,
-                agg.arrangement_bytes,
-                subscribers,
-                agg.delivered_batches,
-                agg.delivered_tuples,
-                agg.dropped_batches,
-                agg.p50_micros,
-                agg.p99_micros,
-                agg.max_micros,
-                engine_list.join(","),
-            ));
-        }
-        for r in receptors.iter() {
-            body.push(format!(
-                "receptor {} port={} format={} connections={} accepted={} rejected={}",
-                r.stream,
-                r.port,
-                r.format,
-                r.connections.load(Ordering::Acquire),
-                r.accepted.load(Ordering::Acquire),
-                r.rejected.load(Ordering::Acquire),
-            ));
-        }
-        for e in emitters.iter() {
-            let (chunks, bytes) = e.relay.relayed();
-            body.push(format!(
-                "emitter {} port={} format={} connections={} relayed_chunks={chunks} \
-                 relayed_bytes={bytes} dropped_chunks={} lost_sources={}",
-                e.query,
-                e.port,
-                e.format,
-                e.connections.load(Ordering::Acquire),
-                e.relay.dropped_chunks(),
-                e.relay.lost_sources(),
-            ));
-        }
-        for (eid, report) in reports.iter().enumerate() {
+        for &eid in &entry.engines {
             let slot = &self.slots[eid];
             let follower = slot
                 .follower()
                 .map(|f| f.addr().to_string())
                 .unwrap_or_else(|| "-".to_string());
-            let failovers = slot.failovers();
-            match report {
-                Some(r) => body.push(format!(
-                    "shard {eid} addr={} baskets_in={} delivered_tuples={} sessions={} \
-                     follower={follower} failovers={failovers}",
-                    primaries[eid].addr(),
-                    r.ingest_load(),
-                    r.delivered_tuples(),
-                    r.server.sessions,
-                )),
-                None => body.push(format!(
-                    "shard {eid} addr={} unreachable=true follower={follower} \
-                     failovers={failovers}",
-                    primaries[eid].addr()
-                )),
-            }
-        }
-        for s in self.sessions.snapshot() {
+            let lag = st
+                .lag
+                .get(&(stream.to_string(), eid))
+                .map(|l| l.to_string())
+                .unwrap_or_else(|| "-".to_string());
             body.push(format!(
-                "session {} peer={} commands={}",
-                s.id, s.peer, s.commands
+                "shard {eid} primary={} follower={follower} lag_rows={lag} \
+                 stalled={} failovers={}",
+                slot.primary().addr(),
+                slot.is_stalled(),
+                slot.failovers(),
             ));
         }
-        body
+        Ok(body)
     }
 
-    // ---- shutdown --------------------------------------------------------
-
-    /// Graceful teardown in dependency order: stop taking ingest, flush
-    /// final batches into the shards, shut the shard engines down (they
-    /// drain and close their emitter streams), drain the relays, join
-    /// everything.
-    pub fn shutdown(&self) {
-        self.request_shutdown();
-        // 1. receptor accept loops + ingest connections wind down; their
-        //    per-shard forwarders flush and close, so the shard engines
-        //    see EOF on every router ingest socket
-        for t in std::mem::take(&mut *self.ingress_threads.lock()) {
-            let _ = t.join();
+    /// Aggregated `STATS`: the router's own rows (server, streams,
+    /// ports, shards, sessions), with each stream's basket, each query
+    /// and each logical emitter port folded from the shard engines'
+    /// reports ([`fold`]) — one `STATS` round trip per shard.
+    fn stats(&self) -> StatsReport {
+        let shards: Vec<Option<StatsReport>> =
+            self.primaries().iter().map(|e| e.stats().ok()).collect();
+        let on = |eid: usize| shards[eid].as_ref();
+        let streams = self.streams.lock();
+        let queries = self.queries.lock();
+        let receptors = self.receptors.lock();
+        let emitters = self.emitters.lock();
+        let mut report = StatsReport {
+            server: ServerStats {
+                uptime_micros: self.uptime().as_micros() as u64,
+                sessions: self.sessions.live_count() as u64,
+                queries: queries.len() as u64,
+                receptor_ports: receptors.len() as u64,
+                emitter_ports: emitters.len() as u64,
+                engines: self.slots.len() as u64,
+                streams: streams.len() as u64,
+            },
+            sessions: self.sessions.snapshot(),
+            ..StatsReport::default()
+        };
+        let mut stream_names: Vec<&String> = streams.keys().collect();
+        stream_names.sort();
+        for s in stream_names.into_iter().map(|n| &streams[n]) {
+            report.streams.push(StreamStats {
+                name: s.name.clone(),
+                shards: s.engines.len() as u64,
+                key: s.key.clone().unwrap_or_else(|| "-".into()),
+                engines: engine_list(&s.engines),
+            });
+            let router = BasketStats {
+                name: s.name.clone(),
+                enabled: true,
+                ..BasketStats::default()
+            };
+            let rows = s.engines.iter().filter_map(|&eid| on(eid)?.basket(&s.name));
+            report.baskets.push(fold(router, rows));
         }
-        // 2. in-process shard engines shut down gracefully (factories
-        //    drain, final results flush, emitter sockets close);
-        //    followers after primaries, so the last pump tick's writes
-        //    are already on the follower's disk
-        for slot in &self.slots {
-            slot.primary().shutdown();
+        let mut query_names: Vec<&String> = queries.keys().collect();
+        query_names.sort();
+        for q in query_names.into_iter().map(|n| &queries[n]) {
+            // subscribers are sockets on this query's logical ports
+            let subscribers = emitters
+                .iter()
+                .filter(|e| e.query == q.name)
+                .map(|e| e.relay.subscriber_count() as u64)
+                .sum();
+            let router = QueryStats {
+                name: q.name.clone(),
+                subscribers,
+                engines: engine_list(&q.engines),
+                ..QueryStats::default()
+            };
+            let rows = q.engines.iter().filter_map(|&eid| on(eid)?.query(&q.name));
+            report.queries.push(fold(router, rows));
         }
-        for slot in &self.slots {
-            if let Some(f) = slot.follower() {
-                f.shutdown();
+        report.receptors = receptors
+            .iter()
+            .map(|r| ReceptorStats {
+                stream: r.stream.clone(),
+                port: r.port,
+                format: r.format.to_string(),
+                connections: r.connections.load(Ordering::Acquire),
+                accepted: r.accepted.load(Ordering::Acquire),
+                rejected: r.rejected.load(Ordering::Acquire),
+            })
+            .collect();
+        for e in emitters.iter() {
+            let router = EmitterStats {
+                query: e.query.clone(),
+                port: e.port,
+                format: e.format.to_string(),
+                connections: e.connections.load(Ordering::Acquire),
+                coalesced_batches: 0,
+            };
+            let behind = e.shard_ports.lock().clone();
+            let rows = behind.iter().filter_map(|&(eid, p)| on(eid)?.emitter(&e.query, p));
+            report.emitters.push(fold(router, rows));
+            let (relayed_chunks, relayed_bytes) = e.relay.relayed();
+            report.relays.push(RelayStats {
+                query: e.query.clone(),
+                port: e.port,
+                relayed_chunks,
+                relayed_bytes,
+                dropped_chunks: e.relay.dropped_chunks(),
+                lost_sources: e.relay.lost_sources(),
+            });
+        }
+        for (eid, shard) in shards.iter().enumerate() {
+            let slot = &self.slots[eid];
+            let mut row = ShardStats {
+                id: eid as u64,
+                addr: slot.primary().addr().to_string(),
+                unreachable: shard.is_none(),
+                follower: slot
+                    .follower()
+                    .map_or_else(|| "-".to_string(), |f| f.addr().to_string()),
+                failovers: slot.failovers(),
+                ..ShardStats::default()
+            };
+            if let Some(r) = shard {
+                row.baskets_in = r.ingest_load();
+                row.delivered_tuples = r.delivered_tuples();
+                row.sessions = r.server.sessions;
             }
+            report.shards.push(row);
         }
-        // 3. shard taps see EOF and publish their final chunks (the
-        //    drain flag releases taps on remote engines that never
-        //    close); emitter accept loops closed with the stop signal
-        self.drain_taps.store(true, Ordering::Release);
-        for t in std::mem::take(&mut *self.egress_threads.lock()) {
-            let _ = t.join();
-        }
-        // 4. disconnect subscriber channels and join the writers —
-        //    DETACHed emitter ports included, their subscribers may
-        //    still be draining
-        let mut eports: Vec<Arc<ClusterEmitterPort>> = self.emitters.lock().clone();
-        eports.extend(self.detached_emitters.lock().drain(..));
-        for eport in &eports {
-            eport.relay.close();
-        }
-        for eport in &eports {
-            for w in std::mem::take(&mut *eport.writers.lock()) {
-                let _ = w.join();
-            }
-        }
-        let tports: Vec<Arc<ClusterTracePort>> = self.trace_ports.lock().clone();
-        for tport in &tports {
-            tport.relay.close();
-        }
-        for tport in &tports {
-            for w in std::mem::take(&mut *tport.writers.lock()) {
-                let _ = w.join();
-            }
-        }
+        report
     }
 }
 
@@ -1628,6 +1506,12 @@ fn merge_span_lines(add: &mut impl FnMut(u64, String), tag: &str, lines: &[Strin
     }
 }
 
+/// Engine ids as the comma-joined list the control plane reports.
+fn engine_list(engines: &[usize]) -> String {
+    let ids: Vec<String> = engines.iter().map(usize::to_string).collect();
+    ids.join(",")
+}
+
 /// Parse a single CREATE statement; returns (kind, name, user schema).
 fn parse_create(sql: &str) -> Result<(CreateKind, String, Schema)> {
     let stmts = dcsql::parse_statements(sql)
@@ -1646,6 +1530,17 @@ fn parse_create(sql: &str) -> Result<(CreateKind, String, Schema)> {
         _ => Err(ServerError::Protocol(
             "expected a single CREATE statement".into(),
         )),
+    }
+}
+
+/// Parse the `CREATE STREAM <stream>` that a `clause` (`PERSIST`, `SHARD
+/// BY`) declares; returns its user schema.
+fn parse_stream_create(ddl: &str, stream: &str, clause: &str) -> Result<Schema> {
+    match parse_create(ddl)? {
+        (CreateKind::Stream, name, schema) if name == stream => Ok(schema),
+        _ => Err(ServerError::Protocol(format!(
+            "{clause} applies to CREATE STREAM {stream}, got {ddl:?}"
+        ))),
     }
 }
 

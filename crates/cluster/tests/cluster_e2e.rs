@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use datacell::frame::WireFormat;
 use dccluster::{bind_cluster, ClusterConfig};
-use dcserver::client::{Client, ShardedClient};
+use dcserver::client::Client;
 use dcserver::ServerConfig;
 use monet::prelude::*;
 
@@ -60,7 +60,7 @@ fn expected_rows() -> Vec<(i64, i64)> {
 /// Feed the input through one control plane (single engine or cluster)
 /// and collect the result multiset, in the given wire format.
 fn run_workload(addr: SocketAddr, sharded: bool, format: WireFormat) -> Vec<(i64, i64)> {
-    let mut c = ShardedClient::from_client(Client::connect(addr).unwrap());
+    let mut c = Client::connect(addr).unwrap();
     if sharded {
         c.create_sharded_stream("S", "(id int, v int)", "id", None)
             .unwrap();
@@ -123,7 +123,7 @@ fn two_shard_cluster_matches_single_engine_text_and_binary() {
 #[test]
 fn ingest_is_hash_partitioned_across_both_shards() {
     let (addr, cluster_thread) = boot_cluster(2);
-    let mut c = ShardedClient::connect(addr).unwrap();
+    let mut c = Client::connect(addr).unwrap();
     c.create_sharded_stream("S", "(id int, v int)", "id", Some(2))
         .unwrap();
     c.register_query("all", "select id from [select * from S] as Z")
@@ -164,10 +164,71 @@ fn ingest_is_hash_partitioned_across_both_shards() {
 }
 
 #[test]
+fn cluster_emitter_coalescing_is_the_sum_of_its_shards() {
+    // results that pile up before any subscriber attaches are replayed
+    // to the first one in a burst, which each shard's emitter coalesces
+    // into one frame: the router's `emitter` line must report the sum of
+    // the shard emitters behind its logical port
+    let (addr, cluster_thread) = boot_cluster(2);
+    let mut c = Client::connect(addr).unwrap();
+    c.create_sharded_stream("S", "(id int, v int)", "id", Some(2))
+        .unwrap();
+    c.register_query("all", "select id from [select * from S] as Z")
+        .unwrap();
+    let rport = c.attach_receptor_fmt("S", 0, WireFormat::Binary).unwrap();
+    let schema = Schema::from_pairs(&[("id", ValueType::Int), ("v", ValueType::Int)]);
+    let mut sink = c.open_receptor_with(rport, WireFormat::Binary, &schema).unwrap();
+    const ROUNDS: i64 = 8;
+    const ROWS: i64 = 16;
+    for round in 0..ROUNDS {
+        let ids: Vec<i64> = (round * ROWS..(round + 1) * ROWS).collect();
+        let batch = Relation::from_columns(vec![
+            ("id".into(), Column::from_ints(ids.clone())),
+            ("v".into(), Column::from_ints(ids)),
+        ])
+        .unwrap();
+        sink.send_batch(&batch).unwrap();
+        sink.flush().unwrap();
+        // one firing per round on each shard: the next round waits
+        let want = ((round + 1) * ROWS) as u64;
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while c.stats_report().unwrap().query("all").unwrap().consumed < want {
+            assert!(std::time::Instant::now() < deadline, "round {round} not consumed");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+    let eport = c.attach_emitter_fmt("all", 0, WireFormat::Binary).unwrap();
+    let mut tap = c.open_emitter_with(eport, WireFormat::Binary).unwrap();
+    tap.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    let out_schema = Schema::from_pairs(&[("id", ValueType::Int)]);
+    let rows = tap.take_rows(&out_schema, (ROUNDS * ROWS) as usize).unwrap();
+    assert_eq!(rows.len(), (ROUNDS * ROWS) as usize);
+
+    let stats = c.stats_report().unwrap();
+    let on_router = stats.emitter("all", eport).unwrap().coalesced_batches;
+    let mut on_shards = 0;
+    for shard in &stats.shards {
+        let mut engine = Client::connect(shard.addr.as_str()).unwrap();
+        let report = engine.stats_report().unwrap();
+        on_shards += report
+            .emitters
+            .iter()
+            .filter(|e| e.query == "all")
+            .map(|e| e.coalesced_batches)
+            .sum::<u64>();
+    }
+    assert!(on_shards > 0, "the replayed backlog must coalesce: {stats:?}");
+    assert_eq!(on_router, on_shards, "{stats:?}");
+
+    c.shutdown().unwrap();
+    cluster_thread.join().unwrap();
+}
+
+#[test]
 fn same_key_lands_on_one_shard() {
     // all tuples share one key: exactly one engine must see them
     let (addr, cluster_thread) = boot_cluster(2);
-    let mut c = ShardedClient::connect(addr).unwrap();
+    let mut c = Client::connect(addr).unwrap();
     c.create_sharded_stream("S", "(sym varchar, px int)", "sym", None)
         .unwrap();
     c.register_query("all", "select sym from [select * from S] as Z")
@@ -199,7 +260,7 @@ fn same_key_lands_on_one_shard() {
 #[test]
 fn unsharded_streams_place_on_least_loaded_engine() {
     let (addr, cluster_thread) = boot_cluster(2);
-    let mut c = ShardedClient::connect(addr).unwrap();
+    let mut c = Client::connect(addr).unwrap();
     // load shard engines unevenly through a sharded stream first
     c.create_sharded_stream("S", "(id int)", "id", None).unwrap();
     let rport = c.attach_receptor("S", 0).unwrap();
@@ -247,7 +308,7 @@ fn single_shard_binary_ingest_passthrough_round_trips() {
     // frame-relay ingest path (no decode in the router) — results and
     // STATS counters must be identical to the decoding path
     let (addr, cluster_thread) = boot_cluster(2);
-    let mut c = ShardedClient::connect(addr).unwrap();
+    let mut c = Client::connect(addr).unwrap();
     c.create_sharded_stream("S", "(id int, tag varchar)", "id", Some(1))
         .unwrap();
     c.register_query("all", "select id, tag from [select * from S] as Z")
@@ -283,7 +344,7 @@ fn single_shard_binary_ingest_passthrough_round_trips() {
 #[test]
 fn cluster_control_plane_rejects_bad_requests() {
     let (addr, cluster_thread) = boot_cluster(2);
-    let mut c = ShardedClient::connect(addr).unwrap();
+    let mut c = Client::connect(addr).unwrap();
     c.create_sharded_stream("S", "(id int)", "id", None).unwrap();
     // duplicate stream
     assert!(c.create_sharded_stream("S", "(id int)", "id", None).is_err());
@@ -319,7 +380,7 @@ fn cluster_metrics_merge_and_trace_dump() {
     // exposition plus the shard_up gauge; TRACE DUMP carries per-shard
     // firing events tagged with their origin
     let (addr, cluster_thread) = boot_cluster(2);
-    let mut c = ShardedClient::connect(addr).unwrap();
+    let mut c = Client::connect(addr).unwrap();
     c.create_sharded_stream("S", "(id int, v int)", "id", None)
         .unwrap();
     c.register_query("all", "select id from [select * from S] as Z")
@@ -376,7 +437,7 @@ fn cluster_trace_stream_relays_shard_events() {
     // TRACE QUERY ON opens a logical tap port relaying live flight-recorder
     // lines from every shard running the query
     let (addr, cluster_thread) = boot_cluster(2);
-    let mut c = ShardedClient::connect(addr).unwrap();
+    let mut c = Client::connect(addr).unwrap();
     c.create_sharded_stream("S", "(id int)", "id", None).unwrap();
     c.register_query("all", "select id from [select * from S] as Z")
         .unwrap();
@@ -409,7 +470,7 @@ fn cluster_trace_stream_relays_shard_events() {
 #[test]
 fn explain_routes_through_the_router() {
     let (addr, cluster_thread) = boot_cluster(2);
-    let mut c = ShardedClient::connect(addr).unwrap();
+    let mut c = Client::connect(addr).unwrap();
     c.create_sharded_stream("S", "(id int, v int, w int)", "id", None)
         .unwrap();
     c.register_query(
@@ -460,7 +521,7 @@ fn explain_routes_through_the_router() {
 #[test]
 fn detach_fans_out_to_every_shard() {
     let (addr, cluster_thread) = boot_cluster(2);
-    let mut c = ShardedClient::connect(addr).unwrap();
+    let mut c = Client::connect(addr).unwrap();
     c.create_sharded_stream("S", "(id int, v int)", "id", None)
         .unwrap();
     c.register_query("all", "select id from [select * from S] as Z")
@@ -491,7 +552,7 @@ fn detach_fans_out_to_every_shard() {
 #[test]
 fn register_query_reports_partial_success_detail() {
     let (addr, cluster_thread) = boot_cluster(2);
-    let mut c = ShardedClient::connect(addr).unwrap();
+    let mut c = Client::connect(addr).unwrap();
     // an UNSHARDED stream lives on exactly one of the two engines, so a
     // query over it registers on one engine and is declined by the other
     c.create_stream("solo", "(x int)").unwrap();
@@ -543,7 +604,7 @@ fn persistent_sharded_stream_logs_and_seals_per_shard() {
         cluster.serve().expect("serve cluster");
     });
 
-    let mut c = ShardedClient::connect(addr).unwrap();
+    let mut c = Client::connect(addr).unwrap();
     let body = c
         .request("CREATE STREAM S (id int, v int) PERSIST SHARD BY (id)")
         .unwrap();
@@ -633,7 +694,7 @@ fn distributed_trace_spans_metrics_history_and_health() {
         cluster.serve().expect("serve cluster");
     });
 
-    let mut c = ShardedClient::connect(addr).unwrap();
+    let mut c = Client::connect(addr).unwrap();
     c.request("CREATE STREAM S (id int, v int) PERSIST SHARD BY (id)")
         .unwrap();
     c.register_query("all", "select id from [select * from S] as Z")

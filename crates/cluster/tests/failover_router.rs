@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use datacell::frame::WireFormat;
 use datacell::partition::Partitioner;
 use dccluster::{bind_cluster, ClusterConfig, ClusterRuntime};
-use dcserver::client::{Client, ShardedClient};
+use dcserver::client::Client;
 use monet::prelude::*;
 
 struct TestCluster {
@@ -61,7 +61,7 @@ impl TestCluster {
     }
 
     /// Pump until every shard of `stream` reports `lag_rows=0`.
-    fn pump_until_synced(&self, c: &mut ShardedClient, stream: &str) {
+    fn pump_until_synced(&self, c: &mut Client, stream: &str) {
         let deadline = Instant::now() + Duration::from_secs(15);
         loop {
             self.rt.pump_replication_now();
@@ -90,7 +90,7 @@ impl TestCluster {
     }
 
     /// Drive health polls until shard `eid` reports a failover.
-    fn wait_for_failover(&self, c: &mut ShardedClient, eid: usize) {
+    fn wait_for_failover(&self, c: &mut Client, eid: usize) {
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
             self.rt.capture_metrics_now();
@@ -106,7 +106,7 @@ impl TestCluster {
         }
     }
 
-    fn finish(mut self, c: &mut ShardedClient) {
+    fn finish(mut self, c: &mut Client) {
         c.shutdown().unwrap();
         self.thread.take().unwrap().join().unwrap();
         let _ = std::fs::remove_dir_all(&self.dir);
@@ -143,7 +143,7 @@ fn ids_on_shard(rel: &Relation, shard: usize, shards: usize) -> Vec<i64> {
 #[test]
 fn primary_kill_promotes_follower_without_losing_replicated_rows() {
     let tc = TestCluster::boot(2, "promote");
-    let mut c = ShardedClient::connect(tc.addr).unwrap();
+    let mut c = Client::connect(tc.addr).unwrap();
     let body = c
         .request(&format!("CREATE STREAM S {SCHEMA} PERSIST SHARD BY (id)"))
         .unwrap();
@@ -253,7 +253,7 @@ fn primary_kill_promotes_follower_without_losing_replicated_rows() {
 #[test]
 fn create_retry_after_promotion_does_not_double_create_or_leak_ports() {
     let tc = TestCluster::boot(2, "retry");
-    let mut c = ShardedClient::connect(tc.addr).unwrap();
+    let mut c = Client::connect(tc.addr).unwrap();
     let ddl = format!("CREATE STREAM S {SCHEMA} PERSIST SHARD BY (id)");
     c.request(&ddl).unwrap();
     c.register_query("all", "select id from [select * from S] as Z")
@@ -305,7 +305,7 @@ fn create_retry_after_promotion_does_not_double_create_or_leak_ports() {
 #[test]
 fn dead_follower_raises_replication_stalled_without_failover() {
     let tc = TestCluster::boot(2, "stall");
-    let mut c = ShardedClient::connect(tc.addr).unwrap();
+    let mut c = Client::connect(tc.addr).unwrap();
     c.request(&format!("CREATE STREAM S {SCHEMA} PERSIST SHARD BY (id)"))
         .unwrap();
     tc.pump_until_synced(&mut c, "S");

@@ -242,7 +242,11 @@ impl ThreadedScheduler {
         let shared = Arc::new(Mutex::new(FactoryStats::default()));
         let live = Arc::clone(&shared);
         let stop = Arc::clone(&self.stop);
-        self.handles.push(std::thread::spawn(move || {
+        // named after the factory, so per-thread tools (`/proc/*/task`,
+        // `top -H`) show the firing work instead of the spawning thread's
+        // name; Linux truncates it to 15 bytes
+        let thread = std::thread::Builder::new().name(format!("dc-fire-{}", f.name()));
+        let handle = thread.spawn(move || {
             let wakers = f.wakers();
             let _watches: Vec<_> = wakers.iter().map(|b| b.watch()).collect();
             loop {
@@ -277,7 +281,8 @@ impl ThreadedScheduler {
             }
             let final_stats = shared.lock().clone();
             final_stats
-        }));
+        });
+        self.handles.push(handle.expect("spawn factory thread"));
         live
     }
 
@@ -403,5 +408,26 @@ mod tests {
         assert_eq!(b.len(), 100);
         assert!(stats[0].firings >= 1);
         assert_eq!(stats[0].consumed, 100);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn factory_threads_are_named_after_their_factory() {
+        let clock = Arc::new(VirtualClock::new());
+        let a = Basket::new("na", &schema(), false);
+        let b = Basket::new("nb", &schema(), false);
+        let mut ts = ThreadedScheduler::new();
+        ts.add_shared(copier("named_copier", &a, &b, &clock));
+        let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .map(|n| n.trim_end().to_string())
+            .collect();
+        ts.stop();
+        // the kernel keeps 15 bytes of the name: "dc-fire-named_c"
+        assert!(
+            names.iter().any(|n| n == "dc-fire-named_c"),
+            "no dc-fire- thread among {names:?}"
+        );
     }
 }

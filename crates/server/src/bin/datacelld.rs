@@ -17,8 +17,6 @@
 //! directory, and on boot the daemon replays the manifest and WAL tails
 //! *before* accepting connections.
 
-use std::time::Duration;
-
 use dcserver::{bind, ServerConfig};
 
 fn main() {
@@ -40,35 +38,6 @@ fn main() {
                 }
                 None => die("--data-host requires HOST"),
             },
-            "--data-dir" => match args.next() {
-                Some(v) => config.data_dir = Some(v.into()),
-                None => die("--data-dir requires a path"),
-            },
-            "--fsync" => match args.next().map(|v| v.parse()) {
-                Some(Ok(policy)) => config.fsync = policy,
-                Some(Err(e)) => die(&format!("--fsync: {e}")),
-                None => die("--fsync requires always|every_n:N|off"),
-            },
-            "--seal-rows" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => config.seal_rows = n,
-                None => die("--seal-rows requires a number"),
-            },
-            "--trace-ring" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => config.trace_ring = n,
-                _ => die("--trace-ring requires a positive number"),
-            },
-            "--trace-sample" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => config.trace_sample = n,
-                None => die("--trace-sample requires a number (0 = off)"),
-            },
-            "--metrics-interval-ms" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(ms) if ms > 0 => config.metrics_interval = Duration::from_millis(ms),
-                _ => die("--metrics-interval-ms requires a positive number"),
-            },
-            "--metrics-depth" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => config.metrics_depth = n,
-                None => die("--metrics-depth requires a number"),
-            },
             "--help" | "-h" => {
                 println!(
                     "datacelld [--listen HOST:PORT] [--data-host HOST]\n          \
@@ -86,7 +55,11 @@ fn main() {
                 );
                 return;
             }
-            other => die(&format!("unknown argument {other}")),
+            other => match config.apply_flag(other, &mut args) {
+                Some(Ok(())) => {}
+                Some(Err(usage)) => die(&usage),
+                None => die(&format!("unknown argument {other}")),
+            },
         }
     }
 

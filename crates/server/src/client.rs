@@ -112,11 +112,6 @@ impl Client {
         })
     }
 
-    /// The server's control-plane address.
-    pub fn server_addr(&self) -> SocketAddr {
-        self.server
-    }
-
     /// Bound how long control-plane reads and writes may block. The
     /// cluster router sets this on its per-shard control sessions so one
     /// hung engine fails requests instead of wedging the whole control
@@ -154,6 +149,22 @@ impl Client {
     /// `CREATE STREAM name (col type, ...)`.
     pub fn create_stream(&mut self, name: &str, columns: &str) -> Result<()> {
         self.request(&format!("CREATE STREAM {name} {columns}"))
+            .map(|_| ())
+    }
+
+    /// `CREATE STREAM name (cols) SHARD BY (key) [SHARDS n]` — declare a
+    /// hash-partitioned stream on a `dccluster` shard router (a single
+    /// engine rejects it). `shards = None` lets the router place one
+    /// shard per engine.
+    pub fn create_sharded_stream(
+        &mut self,
+        name: &str,
+        columns: &str,
+        key: &str,
+        shards: Option<usize>,
+    ) -> Result<()> {
+        let clause = shards.map_or_else(String::new, |n| format!(" SHARDS {n}"));
+        self.request(&format!("CREATE STREAM {name} {columns} SHARD BY ({key}){clause}"))
             .map(|_| ())
     }
 
@@ -457,75 +468,6 @@ impl Client {
     }
 }
 
-/// A control-plane connection to a `dccluster` shard router.
-///
-/// The router speaks the same wire protocol as a single engine, so this
-/// is a thin wrapper over [`Client`] (every plain method is available via
-/// `Deref`) adding the cluster-only surface: the `SHARD BY` DDL helper.
-///
-/// ```no_run
-/// use dcserver::client::ShardedClient;
-///
-/// let mut c = ShardedClient::connect("127.0.0.1:7071").unwrap();
-/// c.create_sharded_stream("S", "(id int, v int)", "id", None).unwrap();
-/// c.register_query("hot", "select id from [select * from S] as Z where Z.v > 10")
-///     .unwrap();
-/// let rport = c.attach_receptor("S", 0).unwrap();   // one logical port,
-/// let eport = c.attach_emitter("hot", 0).unwrap();  // all shards behind it
-/// # let _ = (rport, eport);
-/// ```
-pub struct ShardedClient {
-    inner: Client,
-}
-
-impl ShardedClient {
-    /// Connect to a `dccluster` control port.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<ShardedClient> {
-        Ok(ShardedClient {
-            inner: Client::connect(addr)?,
-        })
-    }
-
-    /// Wrap an existing control connection (e.g. one already pointed at a
-    /// router).
-    pub fn from_client(inner: Client) -> ShardedClient {
-        ShardedClient { inner }
-    }
-
-    /// `CREATE STREAM name (cols) SHARD BY (key) [SHARDS n]` — declare a
-    /// hash-partitioned stream. `shards = None` lets the router place one
-    /// shard per engine.
-    pub fn create_sharded_stream(
-        &mut self,
-        name: &str,
-        columns: &str,
-        key: &str,
-        shards: Option<usize>,
-    ) -> Result<()> {
-        let clause = match shards {
-            Some(n) => format!(" SHARDS {n}"),
-            None => String::new(),
-        };
-        self.inner
-            .request(&format!("CREATE STREAM {name} {columns} SHARD BY ({key}){clause}"))
-            .map(|_| ())
-    }
-}
-
-impl std::ops::Deref for ShardedClient {
-    type Target = Client;
-
-    fn deref(&self) -> &Client {
-        &self.inner
-    }
-}
-
-impl std::ops::DerefMut for ShardedClient {
-    fn deref_mut(&mut self) -> &mut Client {
-        &mut self.inner
-    }
-}
-
 /// TEXT is the wire default, so it is requested by *omitting* the
 /// clause — keeping text-only sessions compatible with daemons that
 /// predate the FORMAT grammar.
@@ -670,16 +612,6 @@ impl ReceptorSink {
             }
         }
         Ok(())
-    }
-
-    /// Queue many tuples.
-    pub fn send_rows<'a>(&mut self, rows: impl IntoIterator<Item = &'a [Value]>) -> Result<usize> {
-        let mut n = 0;
-        for row in rows {
-            self.send_row(row)?;
-            n += 1;
-        }
-        Ok(n)
     }
 
     fn flush_pending(&mut self) -> Result<()> {

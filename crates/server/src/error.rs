@@ -20,6 +20,9 @@ pub enum ServerError {
     Io(String),
     /// The server is shutting down and rejects new work.
     ShuttingDown,
+    /// A control verb this daemon does not serve; the message names the
+    /// daemon that does.
+    Unsupported(String),
 }
 
 impl fmt::Display for ServerError {
@@ -31,6 +34,7 @@ impl fmt::Display for ServerError {
             ServerError::Duplicate(n) => write!(f, "duplicate name: {n}"),
             ServerError::Io(m) => write!(f, "io: {m}"),
             ServerError::ShuttingDown => write!(f, "server is shutting down"),
+            ServerError::Unsupported(m) => write!(f, "{m}"),
         }
     }
 }

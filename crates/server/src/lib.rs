@@ -46,8 +46,8 @@ pub mod runtime;
 pub mod session;
 pub mod stats;
 
-pub use client::{Client, ShardedClient};
-pub use control::ControlServer;
+pub use client::Client;
+pub use control::{ControlPlane, ControlServer};
 pub use error::{Result, ServerError};
 pub use runtime::{ServerConfig, ServerRuntime};
 pub use stats::StatsReport;

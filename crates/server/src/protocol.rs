@@ -652,14 +652,6 @@ pub enum Response {
 }
 
 impl Response {
-    pub fn ok() -> Response {
-        Response::Ok(Vec::new())
-    }
-
-    pub fn one(line: impl Into<String>) -> Response {
-        Response::Ok(vec![line.into()])
-    }
-
     /// Encode onto a writer. Body lines have embedded newlines replaced so
     /// framing always holds.
     pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
@@ -1112,7 +1104,7 @@ mod tests {
             .write_to(&mut buf)
             .unwrap();
         Response::Err("boom".into()).write_to(&mut buf).unwrap();
-        Response::ok().write_to(&mut buf).unwrap();
+        Response::Ok(Vec::new()).write_to(&mut buf).unwrap();
         let mut r = std::io::BufReader::new(&buf[..]);
         assert_eq!(
             Response::read_from(&mut r).unwrap(),
@@ -1128,7 +1120,9 @@ mod tests {
     #[test]
     fn response_newline_injection_is_neutralized() {
         let mut buf = Vec::new();
-        Response::one("evil\nOK 0").write_to(&mut buf).unwrap();
+        Response::Ok(vec!["evil\nOK 0".into()])
+            .write_to(&mut buf)
+            .unwrap();
         let mut r = std::io::BufReader::new(&buf[..]);
         assert_eq!(
             Response::read_from(&mut r).unwrap(),

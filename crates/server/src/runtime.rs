@@ -27,8 +27,12 @@ use monet::prelude::*;
 use parking_lot::Mutex;
 
 use crate::accept::{Acceptor, StopSignal};
+use crate::control::ControlPlane;
 use crate::error::{Result, ServerError};
 use crate::session::{QueryHandle, QueryRegistry, SessionManager};
+use crate::stats::{
+    BasketStats, EmitterStats, QueryStats, ReceptorStats, ServerStats, StatsReport,
+};
 
 /// How long a blocking socket read (in either daemon) waits before
 /// re-checking the stop flag.
@@ -76,6 +80,68 @@ pub struct ServerConfig {
     /// Seal a durable stream's hot rows into a segment once this many
     /// accumulate (0 = only on explicit `FLUSH STREAM`).
     pub seal_rows: usize,
+}
+
+impl ServerConfig {
+    /// The telemetry registry this configuration asks for.
+    pub fn telemetry(&self) -> dctrace::Telemetry {
+        if !self.telemetry_enabled {
+            return dctrace::Telemetry::disabled();
+        }
+        let t = dctrace::Telemetry::enabled_with_ring(self.trace_ring);
+        t.set_trace_sampling(self.trace_sample);
+        t
+    }
+
+    /// Apply one command-line flag that both daemons take for their
+    /// engines (`--data-dir`, `--fsync`, `--seal-rows`, `--trace-ring`,
+    /// `--trace-sample`, `--metrics-interval-ms`, `--metrics-depth`),
+    /// reading its value from `args`. `None` = not one of these flags;
+    /// an error is the usage message.
+    pub fn apply_flag(
+        &mut self,
+        flag: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Option<std::result::Result<(), String>> {
+        let value = match flag {
+            "--data-dir"
+            | "--fsync"
+            | "--seal-rows"
+            | "--trace-ring"
+            | "--trace-sample"
+            | "--metrics-interval-ms"
+            | "--metrics-depth" => args.next(),
+            _ => return None,
+        };
+        let number = |min: u64, usage: &str| {
+            let n = value.as_deref().and_then(|v| v.parse::<u64>().ok());
+            n.filter(|&n| n >= min)
+                .ok_or_else(|| format!("{flag} requires {usage}"))
+        };
+        Some(match flag {
+            "--data-dir" => match &value {
+                Some(path) => {
+                    self.data_dir = Some(path.into());
+                    Ok(())
+                }
+                None => Err(format!("{flag} requires a path")),
+            },
+            "--fsync" => match value.as_deref().map(str::parse) {
+                Some(Ok(policy)) => {
+                    self.fsync = policy;
+                    Ok(())
+                }
+                Some(Err(e)) => Err(format!("{flag}: {e}")),
+                None => Err(format!("{flag} requires always|every_n:N|off")),
+            },
+            "--seal-rows" => number(0, "a number").map(|n| self.seal_rows = n as usize),
+            "--trace-ring" => number(1, "a positive number").map(|n| self.trace_ring = n as usize),
+            "--trace-sample" => number(0, "a number (0 = off)").map(|n| self.trace_sample = n),
+            "--metrics-interval-ms" => number(1, "a positive number")
+                .map(|ms| self.metrics_interval = Duration::from_millis(ms)),
+            _ => number(0, "a number").map(|n| self.metrics_depth = n as usize),
+        })
+    }
 }
 
 impl Default for ServerConfig {
@@ -161,13 +227,7 @@ pub struct ServerRuntime {
 impl ServerRuntime {
     pub fn new(engine: Arc<DataCell>, config: ServerConfig) -> Result<Arc<ServerRuntime>> {
         let sched = ThreadedScheduler::new();
-        let telemetry = if config.telemetry_enabled {
-            let t = dctrace::Telemetry::enabled_with_ring(config.trace_ring);
-            t.set_trace_sampling(config.trace_sample);
-            t
-        } else {
-            dctrace::Telemetry::disabled()
-        };
+        let telemetry = config.telemetry();
         // install before any DDL runs so every basket and factory the
         // engine creates picks up its probes
         engine.set_telemetry(telemetry.clone());
@@ -210,26 +270,14 @@ impl ServerRuntime {
             store,
             recovery,
         });
+        // the metrics snapshotter: history ring, windowed gauges and the
+        // node's own health score
         if rt.telemetry.is_enabled() {
-            rt.spawn_snapshotter();
+            let interval = rt.config.metrics_interval;
+            let timer = rt.spawn_timer("dc-metrics", interval, |rt| rt.capture_metrics_now());
+            rt.threads.lock().push(timer);
         }
         Ok(rt)
-    }
-
-    /// Background metrics snapshotter: every `metrics_interval`, capture
-    /// the full exposition into the history ring and refresh the derived
-    /// windowed gauges + the node's own health score.
-    fn spawn_snapshotter(self: &Arc<Self>) {
-        let rt = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name("dc-metrics".into())
-            .spawn(move || {
-                while !rt.stop.wait_timeout(rt.config.metrics_interval) {
-                    rt.capture_metrics_now();
-                }
-            })
-            .expect("spawn metrics snapshotter thread");
-        self.threads.lock().push(handle);
     }
 
     /// One snapshotter tick: capture `METRICS` into the history ring,
@@ -240,18 +288,8 @@ impl ServerRuntime {
         if !self.telemetry.is_enabled() {
             return;
         }
-        let lines = self.metrics();
-        self.history.capture(&lines, dctrace::now_micros());
-        if let Some((prev, curr)) = self.history.last_two() {
-            for s in dctrace::windowed_gauges(&prev, &curr) {
-                // map back to 'static metric names for the registry
-                let name = match s.name.as_str() {
-                    "dc_ingest_rate" => "dc_ingest_rate",
-                    "dc_fire_p99_window_micros" => "dc_fire_p99_window_micros",
-                    _ => continue,
-                };
-                self.telemetry.set_gauge_rendered(name, s.labels, s.value);
-            }
+        let captured = capture_metrics(&self.telemetry, &self.history, &self.metrics());
+        if let Some((prev, curr)) = captured {
             let report = dctrace::health::evaluate(&prev, &curr);
             self.telemetry
                 .set_gauge("dc_health_score", &[], report.score as f64);
@@ -272,33 +310,140 @@ impl ServerRuntime {
         &self.engine
     }
 
-    /// The stop signal: tripped by [`ServerRuntime::request_shutdown`];
-    /// acceptors made through it close with it.
-    pub fn stop_signal(&self) -> &StopSignal {
-        &self.stop
-    }
-
-    pub fn is_stopping(&self) -> bool {
-        self.stop.is_stopped()
-    }
-
     pub fn uptime(&self) -> Duration {
         self.started_at.elapsed()
     }
 
-    fn ensure_running(&self) -> Result<()> {
-        if self.is_stopping() {
-            Err(ServerError::ShuttingDown)
-        } else {
-            Ok(())
+    /// Parse a plain `CREATE STREAM` line into the stream's user schema,
+    /// checking the declared name matches `stream`. Shared by the
+    /// persistent-create and replica-open paths.
+    fn parse_stream_ddl(ddl: &str, stream: &str) -> Result<Schema> {
+        let stmt = dcsql::parse_statement(ddl)
+            .map_err(|e| ServerError::Protocol(format!("stream DDL: {e}")))?;
+        let dcsql::ast::Stmt::Create {
+            kind: dcsql::ast::CreateKind::Stream,
+            name,
+            fields,
+        } = stmt
+        else {
+            return Err(ServerError::Protocol(
+                "expected a CREATE STREAM statement".into(),
+            ));
+        };
+        if name != stream {
+            return Err(ServerError::Protocol(format!(
+                "stream name mismatch: {name} vs {stream}"
+            )));
+        }
+        Ok(Schema::new(
+            fields
+                .iter()
+                .map(|(n, t)| Field::new(n.clone(), *t))
+                .collect(),
+        ))
+    }
+
+    // ---- replication (REPL verbs; see dcstore::replica) ------------------
+
+    /// The durable store, or the error every REPL verb shares.
+    fn store_required(&self) -> Result<&Arc<dcstore::Store>> {
+        self.store.as_ref().ok_or_else(|| {
+            ServerError::Protocol("replication requires a daemon running with --data-dir".into())
+        })
+    }
+
+    /// Replication may only write to **replica** streams — a stream with
+    /// a live basket is this engine's own primary state.
+    fn ensure_replica(&self, stream: &str) -> Result<()> {
+        if self.engine.basket(stream).is_ok() {
+            return Err(ServerError::Protocol(format!(
+                "stream {stream} has a live basket — replication applies only to replica streams"
+            )));
+        }
+        Ok(())
+    }
+
+    /// The server's telemetry handle (disabled when the config said so).
+    pub fn telemetry(&self) -> &dctrace::Telemetry {
+        &self.telemetry
+    }
+
+    /// The flight recorder — the error every telemetry verb shares when
+    /// telemetry is off.
+    fn recorder(&self) -> Result<Arc<dctrace::FlightRecorder>> {
+        self.telemetry
+            .recorder()
+            .ok_or_else(|| ServerError::Protocol("telemetry is disabled on this server".into()))
+    }
+}
+
+impl ControlPlane for ServerRuntime {
+    fn stop_signal(&self) -> &StopSignal {
+        &self.stop
+    }
+
+    fn sessions(&self) -> &SessionManager {
+        &self.sessions
+    }
+
+    /// Trips the stop signal, closing every accept loop, and wakes
+    /// feeders blocked on a full basket so they see the stop.
+    fn request_shutdown(&self) {
+        self.stop.stop();
+        for name in self.engine.basket_names() {
+            if let Ok(b) = self.engine.basket(&name) {
+                b.notify();
+            }
         }
     }
 
-    // ---- control-plane operations ---------------------------------------
+    /// Graceful teardown, in dependency order: stop ingest, drain the
+    /// scheduler, flush result pumps and emitters, join every thread.
+    fn shutdown(&self) {
+        self.request_shutdown();
+        // 0. close every live trace tap so their writer threads see the
+        //    channel disconnect and exit with the accept loops
+        if let Some(rec) = self.telemetry.recorder() {
+            rec.close_taps(None);
+        }
+        // 1. the stop signal closed every accept loop; receptor connection
+        //    readers observe the flag and flush their final batches into
+        //    the baskets
+        let threads: Vec<JoinHandle<()>> = std::mem::take(&mut *self.threads.lock());
+        for t in threads {
+            let _ = t.join();
+        }
+        // 2. stop the scheduler — each factory thread drains remaining
+        //    input once, then drops its factory (disconnecting result
+        //    channels)
+        if let Some(sched) = self.sched.lock().take() {
+            sched.stop();
+        }
+        // 3. pumps see the disconnect after forwarding everything; then
+        //    broadcasts drop, disconnecting subscriber channels, and the
+        //    emitter threads flush and exit
+        for q in self.queries.drain() {
+            q.join_pump();
+        }
+        let mut eports: Vec<Arc<EmitterPort>> = self.emitters.lock().drain(..).collect();
+        eports.extend(self.detached_emitters.lock().drain(..));
+        for eport in eports {
+            // other clones of the Arc only read stats; the emitter vec is
+            // drained through the lock
+            for emitter in eport.emitters.lock().drain(..) {
+                let _ = emitter.join();
+            }
+        }
+        // 4. every acknowledged append is already in the WAL; one final
+        //    fsync narrows the window of an `off`/`every_n` policy
+        if let Some(store) = &self.store {
+            let _ = store.sync_all();
+        }
+    }
 
     /// Execute DDL or a one-shot script; returns result rows (wire text)
     /// for a trailing SELECT, prefixed with a `#`-marked header line.
-    pub fn exec(&self, sql: &str) -> Result<Vec<String>> {
+    fn exec(&self, sql: &str) -> Result<Vec<String>> {
         self.ensure_running()?;
         let result = self.engine.execute(sql)?;
         let mut body = Vec::new();
@@ -314,7 +459,7 @@ impl ServerRuntime {
     /// `EXPLAIN <sql>`: compile the script and render the physical plan
     /// (pruned column sets per scan, predicate order, materialization
     /// boundaries) without executing anything.
-    pub fn explain_sql(&self, sql: &str) -> Result<Vec<String>> {
+    fn explain_sql(&self, sql: &str) -> Result<Vec<String>> {
         self.ensure_running()?;
         let stmts = dcsql::parse_statements(sql)
             .map_err(|e| ServerError::Protocol(format!("EXPLAIN: {e}")))?;
@@ -325,7 +470,7 @@ impl ServerRuntime {
     /// plus its live incremental-execution state — lifetime delta/full
     /// counters and the shared arrangements the engine currently holds
     /// (`holders` > 1 means queries are reusing one index).
-    pub fn explain_query(&self, name: &str) -> Result<Vec<String>> {
+    fn explain_query(&self, name: &str) -> Result<Vec<String>> {
         let handle = self
             .queries
             .get(name)
@@ -347,7 +492,7 @@ impl ServerRuntime {
 
     /// Register a continuous query: parse, build the factory, hand it to
     /// the live scheduler, and set up result fan-out.
-    pub fn register_query(&self, name: &str, sql: &str) -> Result<Arc<QueryHandle>> {
+    fn register_query(&self, name: &str, sql: &str) -> Result<Vec<String>> {
         self.ensure_running()?;
         let _reg = self.registration.lock();
         if self.queries.contains(name) {
@@ -373,15 +518,20 @@ impl ServerRuntime {
             ServerError::Io("registered factory did not surface in scheduler".into())
         })?;
         let handle = QueryHandle::new(name, sql, stats, rx);
-        if !self.queries.insert(Arc::clone(&handle)) {
+        let kind = if handle.broadcast.is_some() {
+            "subscribable"
+        } else {
+            "sink"
+        };
+        if !self.queries.insert(handle) {
             return Err(ServerError::Duplicate(name.to_string()));
         }
-        Ok(handle)
+        Ok(vec![format!("query={name} kind={kind}")])
     }
 
     /// Open a receptor port for `stream`; port 0 picks an ephemeral port.
     /// Returns the bound port.
-    pub fn attach_receptor(
+    fn attach_receptor(
         self: &Arc<Self>,
         stream: &str,
         port: u16,
@@ -424,7 +574,7 @@ impl ServerRuntime {
 
     /// Open an emitter port for `query`; port 0 picks an ephemeral port.
     /// Returns the bound port.
-    pub fn attach_emitter(
+    fn attach_emitter(
         self: &Arc<Self>,
         query: &str,
         port: u16,
@@ -487,7 +637,7 @@ impl ServerRuntime {
     /// `DETACH RECEPTOR <stream> PORT <p>`: stop the port's accept loop
     /// and release its listener. Established connections drain until the
     /// peer hangs up. Returns how many ports matched (stream AND port).
-    pub fn detach_receptor(&self, stream: &str, port: u16) -> Result<usize> {
+    fn detach_receptor(&self, stream: &str, port: u16) -> Result<usize> {
         let mut n = 0;
         self.receptors.lock().retain(|p| {
             let hit = p.stream == stream && p.port == port;
@@ -506,7 +656,7 @@ impl ServerRuntime {
     /// release its listener. Existing subscribers keep their streams
     /// until the query ends or they hang up. Returns how many ports
     /// matched.
-    pub fn detach_emitter(&self, query: &str, port: u16) -> Result<usize> {
+    fn detach_emitter(&self, query: &str, port: u16) -> Result<usize> {
         let mut detached = Vec::new();
         self.emitters.lock().retain(|p| {
             let hit = p.query == query && p.port == port;
@@ -527,68 +677,19 @@ impl ServerRuntime {
         Ok(n)
     }
 
-    /// Parse a plain `CREATE STREAM` line into the stream's user schema,
-    /// checking the declared name matches `stream`. Shared by the
-    /// persistent-create and replica-open paths.
-    fn parse_stream_ddl(ddl: &str, stream: &str) -> Result<Schema> {
-        let stmt = dcsql::parse_statement(ddl)
-            .map_err(|e| ServerError::Protocol(format!("stream DDL: {e}")))?;
-        let dcsql::ast::Stmt::Create {
-            kind: dcsql::ast::CreateKind::Stream,
-            name,
-            fields,
-        } = stmt
-        else {
-            return Err(ServerError::Protocol(
-                "expected a CREATE STREAM statement".into(),
-            ));
-        };
-        if name != stream {
-            return Err(ServerError::Protocol(format!(
-                "stream name mismatch: {name} vs {stream}"
-            )));
-        }
-        Ok(Schema::new(
-            fields
-                .iter()
-                .map(|(n, t)| Field::new(n.clone(), *t))
-                .collect(),
-        ))
-    }
-
     /// `CREATE STREAM ... PERSIST`: parse the plain DDL, then create the
     /// stream durably (WAL opened and manifest updated before the OK goes
     /// out). `ddl` is the CREATE STREAM line with the clause stripped.
-    pub fn create_stream_persistent(&self, ddl: &str, stream: &str) -> Result<()> {
+    fn create_persistent(&self, ddl: &str, stream: &str) -> Result<Vec<String>> {
         self.ensure_running()?;
         let schema = Self::parse_stream_ddl(ddl, stream)?;
         self.engine.create_stream_persistent(stream, &schema)?;
-        Ok(())
-    }
-
-    // ---- replication (REPL verbs; see dcstore::replica) ------------------
-
-    /// The durable store, or the error every REPL verb shares.
-    fn store_required(&self) -> Result<&Arc<dcstore::Store>> {
-        self.store.as_ref().ok_or_else(|| {
-            ServerError::Protocol("replication requires a daemon running with --data-dir".into())
-        })
-    }
-
-    /// Replication may only write to **replica** streams — a stream with
-    /// a live basket is this engine's own primary state.
-    fn ensure_replica(&self, stream: &str) -> Result<()> {
-        if self.engine.basket(stream).is_ok() {
-            return Err(ServerError::Protocol(format!(
-                "stream {stream} has a live basket — replication applies only to replica streams"
-            )));
-        }
-        Ok(())
+        Ok(vec![format!("stream={stream} persistent=true")])
     }
 
     /// `REPL OPEN <stream> AS <ddl>`: open a stream in replica mode
     /// (durable layout, no live basket). Idempotent for the same schema.
-    pub fn repl_open(&self, stream: &str, ddl: &str) -> Result<()> {
+    fn repl_open(&self, stream: &str, ddl: &str) -> Result<()> {
         self.ensure_running()?;
         let schema = Self::parse_stream_ddl(ddl, stream)?;
         self.ensure_replica(stream)?;
@@ -597,7 +698,7 @@ impl ServerRuntime {
     }
 
     /// `REPL STATUS <stream>`: the stream's durable catch-up cursor.
-    pub fn repl_status(&self, stream: &str) -> Result<Vec<String>> {
+    fn repl_status(&self, stream: &str) -> Result<Vec<String>> {
         let s = self.store_required()?.replica_status(stream)?;
         Ok(vec![format!(
             "epoch={} wal_bytes={} segments={}",
@@ -608,7 +709,7 @@ impl ServerRuntime {
     /// `REPL EXPORT`: primary side of one replication round — durable
     /// state past the follower's cursor, hex-encoded for the line
     /// protocol.
-    pub fn repl_export(
+    fn repl_export(
         &self,
         stream: &str,
         segs: usize,
@@ -640,7 +741,7 @@ impl ServerRuntime {
     }
 
     /// `REPL SEGMENT`: follower side — land one shipped segment durably.
-    pub fn repl_segment(&self, stream: &str, file: &str, rows: u64, hex: &str) -> Result<()> {
+    fn repl_segment(&self, stream: &str, file: &str, rows: u64, hex: &str) -> Result<()> {
         self.ensure_running()?;
         self.ensure_replica(stream)?;
         let data = dcstore::hex_decode(hex)?;
@@ -650,7 +751,7 @@ impl ServerRuntime {
     }
 
     /// `REPL WAL`: follower side — append one shipped WAL chunk.
-    pub fn repl_wal(&self, stream: &str, epoch: u64, from: u64, hex: &str) -> Result<()> {
+    fn repl_wal(&self, stream: &str, epoch: u64, from: u64, hex: &str) -> Result<()> {
         self.ensure_running()?;
         self.ensure_replica(stream)?;
         let data = dcstore::hex_decode(hex)?;
@@ -661,7 +762,7 @@ impl ServerRuntime {
     /// `REPL PROMOTE`: replay every replica stream into a live basket
     /// and attach persistence — this follower becomes a primary. Reports
     /// what the replay rebuilt.
-    pub fn repl_promote(&self) -> Result<Vec<String>> {
+    fn repl_promote(&self) -> Result<Vec<String>> {
         self.ensure_running()?;
         let report = self.store_required()?.promote_replicas(&self.engine)?;
         Ok(vec![format!(
@@ -672,20 +773,15 @@ impl ServerRuntime {
 
     /// `FLUSH STREAM <name>`: seal the durable stream's hot rows into a
     /// segment now. Returns the number of rows sealed.
-    pub fn flush_stream(&self, stream: &str) -> Result<usize> {
+    fn flush_stream(&self, stream: &str) -> Result<u64> {
         self.ensure_running()?;
-        Ok(self.engine.flush_stream(stream)?)
-    }
-
-    /// The server's telemetry handle (disabled when the config said so).
-    pub fn telemetry(&self) -> &dctrace::Telemetry {
-        &self.telemetry
+        Ok(self.engine.flush_stream(stream)? as u64)
     }
 
     /// The `METRICS` report: every registered series in Prometheus text
     /// exposition format. Empty when telemetry is disabled. Process
     /// gauges (uptime, basket occupancy) are refreshed at render time.
-    pub fn metrics(&self) -> Vec<String> {
+    fn metrics(&self) -> Vec<String> {
         if self.telemetry.is_enabled() {
             self.telemetry
                 .set_gauge("dc_uptime_seconds", &[], self.uptime().as_secs_f64());
@@ -712,30 +808,22 @@ impl ServerRuntime {
     /// The `METRICS HISTORY` report: snapshots from the history ring,
     /// oldest first, optionally filtered to one series and/or the last
     /// `n` snapshots.
-    pub fn metrics_history(&self, series: Option<&str>, last: Option<usize>) -> Result<Vec<String>> {
-        if !self.telemetry.is_enabled() {
-            return Err(ServerError::Protocol(
-                "telemetry is disabled on this server".into(),
-            ));
-        }
+    fn metrics_history(&self, series: Option<&str>, last: Option<usize>) -> Result<Vec<String>> {
+        self.recorder()?;
         Ok(self.history.render(series, last))
     }
 
     /// The `TRACE SPANS` report: per-batch span trees reconstructed from
     /// the flight recorder, optionally filtered to one batch id.
-    pub fn trace_spans(&self, batch: Option<u64>) -> Result<Vec<String>> {
+    fn trace_spans(&self, batch: Option<u64>) -> Result<Vec<String>> {
         let rec = self.recorder()?;
         Ok(dctrace::render_spans(&rec.events(), batch))
     }
 
     /// The `HEALTH` report: this node's health score from the last two
     /// metrics snapshots (healthy while the ring is still warming up).
-    pub fn health(&self) -> Result<Vec<String>> {
-        if !self.telemetry.is_enabled() {
-            return Err(ServerError::Protocol(
-                "telemetry is disabled on this server".into(),
-            ));
-        }
+    fn health(self: &Arc<Self>) -> Result<Vec<String>> {
+        self.recorder()?;
         let report = match self.history.last_two() {
             Some((prev, curr)) => dctrace::health::evaluate(&prev, &curr),
             None => dctrace::HealthReport::healthy(),
@@ -745,21 +833,15 @@ impl ServerRuntime {
 
     /// The `TRACE DUMP` report: flight-recorder events, oldest first,
     /// optionally filtered to one query.
-    pub fn trace_dump(&self, query: Option<&str>) -> Result<Vec<String>> {
+    fn trace_dump(&self, query: Option<&str>) -> Result<Vec<String>> {
         let rec = self.recorder()?;
         Ok(rec.dump(query))
-    }
-
-    fn recorder(&self) -> Result<Arc<dctrace::FlightRecorder>> {
-        self.telemetry
-            .recorder()
-            .ok_or_else(|| ServerError::Protocol("telemetry is disabled on this server".into()))
     }
 
     /// `TRACE QUERY <q> ON`: open an emitter-style port streaming the
     /// query's future flight-recorder events to every subscriber, one
     /// rendered event per line. Returns the bound port.
-    pub fn trace_on(self: &Arc<Self>, query: &str) -> Result<u16> {
+    fn trace_on(self: &Arc<Self>, query: &str) -> Result<u16> {
         self.ensure_running()?;
         if !self.queries.contains(query) {
             return Err(ServerError::Unknown(format!("query {query}")));
@@ -789,7 +871,7 @@ impl ServerRuntime {
     /// `TRACE QUERY <q> OFF`: close the query's live taps (subscribers
     /// drain what they already received, then their stream ends) and
     /// retire its trace ports. Returns how many taps were closed.
-    pub fn trace_off(&self, query: &str) -> Result<usize> {
+    fn trace_off(&self, query: &str) -> Result<usize> {
         let recorder = self.recorder()?;
         self.trace_ports.lock().retain(|(q, port)| {
             if q == query {
@@ -800,150 +882,132 @@ impl ServerRuntime {
         Ok(recorder.close_taps(Some(query)))
     }
 
-    /// The `STATS` report: one line per server object.
-    pub fn stats(&self) -> Vec<String> {
-        let mut body = Vec::new();
-        body.push(format!(
-            "server uptime_micros={} sessions={} queries={} receptor_ports={} emitter_ports={}",
-            self.uptime().as_micros(),
-            self.sessions.live_count(),
-            self.queries.len(),
-            self.receptors.lock().len(),
-            self.emitters.lock().len(),
-        ));
-        for b in self.engine.basket_report() {
-            let mut line = format!(
-                "basket {} len={} enabled={} in={} out={} dropped={} high_water={} cap={} \
-                 pending_deletes={} compactions={} persistent={} wal_bytes={} segments={}",
-                b.name, b.len, b.enabled, b.total_in, b.total_out, b.dropped,
-                b.high_water, b.pending_cap, b.pending_deletes, b.compactions,
-                b.persistent, b.wal_bytes, b.segments
-            );
-            if b.persistent {
-                // WAL fsync tail latency (zero when telemetry is off or
-                // nothing has been logged yet)
-                let fsync = self
-                    .telemetry
-                    .hist_snapshot("dc_wal_fsync_micros", &[("stream", &b.name)])
-                    .unwrap_or_default();
-                line.push_str(&format!(" wal_fsync_p99_micros={}", fsync.quantile(0.99)));
-            }
-            body.push(line);
-        }
-        for q in self.queries.snapshot() {
+    /// The `STATS` report: one row per server object.
+    fn stats(&self) -> StatsReport {
+        let receptors = self.receptors.lock();
+        let emitters = self.emitters.lock();
+        // WAL fsync tail latency of a persistent basket (zero when
+        // telemetry is off or nothing has been logged yet)
+        let fsync_p99 = |stream: &str| {
+            let h = self
+                .telemetry
+                .hist_snapshot("dc_wal_fsync_micros", &[("stream", stream)]);
+            h.unwrap_or_default().quantile(0.99)
+        };
+        let baskets = self.engine.basket_report().into_iter();
+        let baskets = baskets.map(|b| BasketStats {
+            len: b.len as u64,
+            enabled: b.enabled,
+            total_in: b.total_in,
+            total_out: b.total_out,
+            dropped: b.dropped,
+            high_water: b.high_water,
+            cap: b.pending_cap as u64,
+            pending_deletes: b.pending_deletes as u64,
+            compactions: b.compactions,
+            persistent: b.persistent,
+            wal_bytes: b.wal_bytes,
+            segments: b.segments,
+            wal_fsync_p99_micros: if b.persistent { fsync_p99(&b.name) } else { 0 },
+            name: b.name,
+        });
+        let queries = self.queries.snapshot().into_iter().map(|q| {
             let s = q.stats.lock().clone();
-            let (subs, batches, tuples, dropped) = match &q.broadcast {
-                Some(bc) => {
-                    let (b, t) = bc.delivered();
-                    (bc.subscriber_count(), b, t, bc.dropped_batches())
-                }
-                None => (0, 0, 0, 0),
-            };
+            let (subscribers, delivered_batches, delivered_tuples, dropped_batches) =
+                match &q.broadcast {
+                    Some(bc) => {
+                        let (b, t) = bc.delivered();
+                        (bc.subscriber_count() as u64, b, t, bc.dropped_batches())
+                    }
+                    None => (0, 0, 0, 0),
+                };
             // fire-latency summary from the telemetry histogram (zeros
             // when telemetry is off or the query has not fired yet)
             let fire = self
                 .telemetry
                 .hist_snapshot("dc_fire_micros", &[("query", &q.name)])
                 .unwrap_or_default();
-            body.push(format!(
-                "query {} firings={} consumed={} produced={} busy_micros={} lock_micros={} \
-                 rows_scanned={} rows_out={} plan_micros={} \
-                 delta_rows={} full_reexecutes={} arrangement_bytes={} \
-                 subscribers={} delivered_batches={} delivered_tuples={} dropped_batches={} \
-                 p50_micros={} p99_micros={} max_micros={}",
-                q.name, s.firings, s.consumed, s.produced, s.busy_micros, s.lock_micros,
-                s.rows_scanned, s.rows_out, s.plan_micros,
-                s.delta_rows, s.full_reexecutes, s.arrangement_bytes,
-                subs, batches, tuples, dropped,
-                fire.quantile(0.5), fire.quantile(0.99), fire.max
-            ));
-        }
-        for r in self.receptors.lock().iter() {
-            body.push(format!(
-                "receptor {} port={} format={} connections={} accepted={} rejected={}",
-                r.stream,
-                r.port,
-                r.format,
-                r.connections.load(Ordering::Acquire),
-                r.accepted.load(Ordering::Acquire),
-                r.rejected.load(Ordering::Acquire),
-            ));
-        }
-        for e in self.emitters.lock().iter() {
-            body.push(format!(
-                "emitter {} port={} format={} connections={} coalesced_batches={}",
-                e.query,
-                e.port,
-                e.format,
-                e.connections.load(Ordering::Acquire),
-                e.coalesced.load(Ordering::Acquire),
-            ));
-        }
-        for s in self.sessions.snapshot() {
-            body.push(format!(
-                "session {} peer={} commands={}",
-                s.id, s.peer, s.commands
-            ));
-        }
-        body
-    }
-
-    /// Request a graceful stop (idempotent; actual teardown happens in
-    /// [`ServerRuntime::shutdown`]): trips the stop signal, closing every
-    /// accept loop, and wakes feeders blocked on a full basket so they
-    /// see the stop.
-    pub fn request_shutdown(&self) {
-        self.stop.stop();
-        for name in self.engine.basket_names() {
-            if let Ok(b) = self.engine.basket(&name) {
-                b.notify();
+            QueryStats {
+                name: q.name.clone(),
+                firings: s.firings,
+                consumed: s.consumed,
+                produced: s.produced,
+                busy_micros: s.busy_micros,
+                lock_micros: s.lock_micros,
+                rows_scanned: s.rows_scanned,
+                rows_out: s.rows_out,
+                plan_micros: s.plan_micros,
+                delta_rows: s.delta_rows,
+                full_reexecutes: s.full_reexecutes,
+                arrangement_bytes: s.arrangement_bytes,
+                subscribers,
+                delivered_batches,
+                delivered_tuples,
+                dropped_batches,
+                p50_micros: fire.quantile(0.5),
+                p99_micros: fire.quantile(0.99),
+                max_micros: fire.max,
+                engines: String::new(),
             }
+        });
+        StatsReport {
+            server: ServerStats {
+                uptime_micros: self.uptime().as_micros() as u64,
+                sessions: self.sessions.live_count() as u64,
+                queries: self.queries.len() as u64,
+                receptor_ports: receptors.len() as u64,
+                emitter_ports: emitters.len() as u64,
+                ..ServerStats::default()
+            },
+            baskets: baskets.collect(),
+            queries: queries.collect(),
+            receptors: receptors
+                .iter()
+                .map(|r| ReceptorStats {
+                    stream: r.stream.clone(),
+                    port: r.port,
+                    format: r.format.to_string(),
+                    connections: r.connections.load(Ordering::Acquire),
+                    accepted: r.accepted.load(Ordering::Acquire),
+                    rejected: r.rejected.load(Ordering::Acquire),
+                })
+                .collect(),
+            emitters: emitters
+                .iter()
+                .map(|e| EmitterStats {
+                    query: e.query.clone(),
+                    port: e.port,
+                    format: e.format.to_string(),
+                    connections: e.connections.load(Ordering::Acquire),
+                    coalesced_batches: e.coalesced.load(Ordering::Acquire),
+                })
+                .collect(),
+            sessions: self.sessions.snapshot(),
+            ..StatsReport::default()
         }
     }
+}
 
-    /// Graceful teardown, in dependency order: stop ingest, drain the
-    /// scheduler, flush result pumps and emitters, join every thread.
-    pub fn shutdown(&self) {
-        self.request_shutdown();
-        // 0. close every live trace tap so their writer threads see the
-        //    channel disconnect and exit with the accept loops
-        if let Some(rec) = self.telemetry.recorder() {
-            rec.close_taps(None);
-        }
-        // 1. the stop signal closed every accept loop; receptor connection
-        //    readers observe the flag and flush their final batches into
-        //    the baskets
-        let threads: Vec<JoinHandle<()>> = std::mem::take(&mut *self.threads.lock());
-        for t in threads {
-            let _ = t.join();
-        }
-        // 2. stop the scheduler — each factory thread drains remaining
-        //    input once, then drops its factory (disconnecting result
-        //    channels)
-        if let Some(sched) = self.sched.lock().take() {
-            sched.stop();
-        }
-        // 3. pumps see the disconnect after forwarding everything; then
-        //    broadcasts drop, disconnecting subscriber channels, and the
-        //    emitter threads flush and exit
-        for q in self.queries.drain() {
-            q.join_pump();
-        }
-        let mut eports: Vec<Arc<EmitterPort>> = self.emitters.lock().drain(..).collect();
-        eports.extend(self.detached_emitters.lock().drain(..));
-        for eport in eports {
-            // other clones of the Arc only read stats; the emitter vec is
-            // drained through the lock
-            for emitter in eport.emitters.lock().drain(..) {
-                let _ = emitter.join();
-            }
-        }
-        // 4. every acknowledged append is already in the WAL; one final
-        //    fsync narrows the window of an `off`/`every_n` policy
-        if let Some(store) = &self.store {
-            let _ = store.sync_all();
-        }
+/// One metrics-snapshotter tick of either daemon: capture the `METRICS`
+/// exposition `lines` into `history`, then republish the windowed gauges
+/// derived from the last two snapshots, which it returns.
+pub fn capture_metrics(
+    telemetry: &dctrace::Telemetry,
+    history: &dctrace::MetricsHistory,
+    lines: &[String],
+) -> Option<(Arc<dctrace::Snapshot>, Arc<dctrace::Snapshot>)> {
+    history.capture(lines, dctrace::now_micros());
+    let (prev, curr) = history.last_two()?;
+    for s in dctrace::windowed_gauges(&prev, &curr) {
+        // map back to 'static metric names for the registry
+        let name = match s.name.as_str() {
+            "dc_ingest_rate" => "dc_ingest_rate",
+            "dc_fire_p99_window_micros" => "dc_fire_p99_window_micros",
+            _ => continue,
+        };
+        telemetry.set_gauge_rendered(name, s.labels, s.value);
     }
+    Some((prev, curr))
 }
 
 /// Drain one flight-recorder tap onto a trace subscriber socket until

@@ -18,24 +18,18 @@ use datacell::scheduler::FactoryStats;
 use monet::prelude::*;
 use parking_lot::Mutex;
 
+use crate::stats::SessionStats;
+
 /// Batches a subscriber-less broadcast will hold before dropping oldest.
 pub const BACKLOG_CAP: usize = 1024;
 
 // ---- sessions ---------------------------------------------------------------
 
-/// One control-plane connection.
-#[derive(Debug, Clone)]
-pub struct SessionInfo {
-    pub id: u64,
-    pub peer: String,
-    pub commands: u64,
-}
-
 /// Registry of live control sessions.
 #[derive(Default)]
 pub struct SessionManager {
     next: AtomicU64,
-    sessions: Mutex<HashMap<u64, SessionInfo>>,
+    sessions: Mutex<HashMap<u64, SessionStats>>,
     opened_total: AtomicU64,
 }
 
@@ -50,7 +44,7 @@ impl SessionManager {
         self.opened_total.fetch_add(1, Ordering::AcqRel);
         self.sessions.lock().insert(
             id,
-            SessionInfo {
+            SessionStats {
                 id,
                 peer: peer.into(),
                 commands: 0,
@@ -78,9 +72,10 @@ impl SessionManager {
         self.opened_total.load(Ordering::Acquire)
     }
 
-    /// Snapshot of live sessions, sorted by id.
-    pub fn snapshot(&self) -> Vec<SessionInfo> {
-        let mut v: Vec<SessionInfo> = self.sessions.lock().values().cloned().collect();
+    /// Snapshot of live sessions, sorted by id: the `session` rows of
+    /// `STATS`.
+    pub fn snapshot(&self) -> Vec<SessionStats> {
+        let mut v: Vec<SessionStats> = self.sessions.lock().values().cloned().collect();
         v.sort_by_key(|s| s.id);
         v
     }

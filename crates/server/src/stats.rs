@@ -1,10 +1,12 @@
-//! Typed parsing of the `STATS` report.
+//! The `STATS` report, typed: the one place its wire format lives.
 //!
-//! The control-plane `STATS` command replies with one line per server
-//! object (`kind [name] k=v k=v ...` — see [`crate::runtime::ServerRuntime::stats`]).
-//! [`StatsReport::parse`] turns that body into typed rows so machine
-//! consumers — the `dccluster` router's placement logic, tests, dashboards
-//! — read fields instead of scraping strings.
+//! Both daemons answer `STATS` with one line per server object (`kind
+//! [name] k=v k=v ...`). Each builds a typed [`StatsReport`] — `datacelld`
+//! from its engine state, the `dccluster` router by folding its shard
+//! engines' reports ([`fold`], with the per-field policy of [`MergeRow`])
+//! — and only [`StatsReport::render`] writes lines. [`StatsReport::parse`]
+//! is its inverse, so machine consumers (the router's placement logic,
+//! tests, dashboards) read fields instead of scraping strings.
 //!
 //! Parsing is deliberately lenient: unknown line kinds and unknown keys
 //! are ignored, missing numeric keys default to zero. A newer server can
@@ -116,7 +118,24 @@ pub struct EmitterStats {
     pub coalesced_batches: u64,
 }
 
-/// One `session <id> ...` line.
+/// The router's relay counters behind one logical emitter port
+/// (`dccluster` only). They are rendered at the end of that port's
+/// `emitter` line, so a single engine's lines never carry them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RelayStats {
+    pub query: String,
+    pub port: u16,
+    /// Result chunks (and their bytes) relayed to at least one subscriber.
+    pub relayed_chunks: u64,
+    pub relayed_bytes: u64,
+    /// Chunks the subscriber-less backlog dropped.
+    pub dropped_chunks: u64,
+    /// Shard result streams that ended abnormally: the merged stream is
+    /// missing their results from then on.
+    pub lost_sources: u64,
+}
+
+/// One `session <id> ...` line: a live control-plane connection.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionStats {
     pub id: u64,
@@ -166,6 +185,78 @@ pub struct StatsReport {
     pub sessions: Vec<SessionStats>,
     pub streams: Vec<StreamStats>,
     pub shards: Vec<ShardStats>,
+    /// One row per `emitter` line that carries relay counters, in the
+    /// same order as those lines.
+    pub relays: Vec<RelayStats>,
+}
+
+/// How the `dccluster` router folds one shard engine's row into the
+/// cluster-wide row for the same object — the merge policy, declared
+/// field by field in each impl:
+///
+/// * counters, and gauges over the shards' disjoint state (such as
+///   `arrangement_bytes`), **sum**;
+/// * high-water marks, caps and latency quantiles take the **max** —
+///   quantiles do not sum, so the worst shard is the conservative
+///   cluster-level summary;
+/// * what the router observes itself — names, ports, formats,
+///   `connections`, `subscribers`, `engines`, `enabled` — is set on the
+///   router-side row before the fold and left alone.
+pub trait MergeRow {
+    fn merge(&mut self, shard: &Self);
+}
+
+/// Fold shard rows into the router-side row `into` ([`MergeRow`]).
+pub fn fold<'a, T: MergeRow + 'a>(mut into: T, shards: impl IntoIterator<Item = &'a T>) -> T {
+    for row in shards {
+        into.merge(row);
+    }
+    into
+}
+
+impl MergeRow for BasketStats {
+    fn merge(&mut self, s: &BasketStats) {
+        self.len += s.len;
+        self.total_in += s.total_in;
+        self.total_out += s.total_out;
+        self.dropped += s.dropped;
+        self.high_water = self.high_water.max(s.high_water);
+        self.cap = self.cap.max(s.cap);
+        self.pending_deletes += s.pending_deletes;
+        self.compactions += s.compactions;
+        self.persistent |= s.persistent;
+        self.wal_bytes += s.wal_bytes;
+        self.segments += s.segments;
+        self.wal_fsync_p99_micros = self.wal_fsync_p99_micros.max(s.wal_fsync_p99_micros);
+    }
+}
+
+impl MergeRow for QueryStats {
+    fn merge(&mut self, s: &QueryStats) {
+        self.firings += s.firings;
+        self.consumed += s.consumed;
+        self.produced += s.produced;
+        self.busy_micros += s.busy_micros;
+        self.lock_micros += s.lock_micros;
+        self.rows_scanned += s.rows_scanned;
+        self.rows_out += s.rows_out;
+        self.plan_micros += s.plan_micros;
+        self.delta_rows += s.delta_rows;
+        self.full_reexecutes += s.full_reexecutes;
+        self.arrangement_bytes += s.arrangement_bytes;
+        self.delivered_batches += s.delivered_batches;
+        self.delivered_tuples += s.delivered_tuples;
+        self.dropped_batches += s.dropped_batches;
+        self.p50_micros = self.p50_micros.max(s.p50_micros);
+        self.p99_micros = self.p99_micros.max(s.p99_micros);
+        self.max_micros = self.max_micros.max(s.max_micros);
+    }
+}
+
+impl MergeRow for EmitterStats {
+    fn merge(&mut self, s: &EmitterStats) {
+        self.coalesced_batches += s.coalesced_batches;
+    }
 }
 
 /// Split one report line into (kind, name, key→value map). The `server`
@@ -268,13 +359,26 @@ impl StatsReport {
                     accepted: num(&kv, "accepted"),
                     rejected: num(&kv, "rejected"),
                 }),
-                "emitter" => report.emitters.push(EmitterStats {
-                    query: name.to_string(),
-                    port: num(&kv, "port") as u16,
-                    format: text(&kv, "format"),
-                    connections: num(&kv, "connections"),
-                    coalesced_batches: num(&kv, "coalesced_batches"),
-                }),
+                "emitter" => {
+                    let port = num(&kv, "port") as u16;
+                    if kv.contains_key("relayed_chunks") {
+                        report.relays.push(RelayStats {
+                            query: name.to_string(),
+                            port,
+                            relayed_chunks: num(&kv, "relayed_chunks"),
+                            relayed_bytes: num(&kv, "relayed_bytes"),
+                            dropped_chunks: num(&kv, "dropped_chunks"),
+                            lost_sources: num(&kv, "lost_sources"),
+                        });
+                    }
+                    report.emitters.push(EmitterStats {
+                        query: name.to_string(),
+                        port,
+                        format: text(&kv, "format"),
+                        connections: num(&kv, "connections"),
+                        coalesced_batches: num(&kv, "coalesced_batches"),
+                    });
+                }
                 "session" => report.sessions.push(SessionStats {
                     id: name.parse().unwrap_or(0),
                     peer: text(&kv, "peer"),
@@ -302,11 +406,11 @@ impl StatsReport {
         Ok(report)
     }
 
-    /// Render the report back into wire lines — the exact `kind [name]
-    /// k=v ...` shapes the daemons emit, so `parse(render(r)) == r`
-    /// (names and text values must be whitespace/`=`-free, as on the
-    /// wire). This is what the cluster router uses to re-emit
-    /// aggregated rows, and what the roundtrip property test pins.
+    /// Render the report as wire lines — the only writer of the `STATS`
+    /// format: both daemons answer `STATS` with `render` of the report
+    /// they build, the router's merged cluster rows included. Names and
+    /// text values must be whitespace/`=`-free, as on the wire; then
+    /// `parse(render(r)) == r`, which the roundtrip property test pins.
     pub fn render(&self) -> Vec<String> {
         let mut body = Vec::new();
         let s = &self.server;
@@ -364,10 +468,18 @@ impl StatsReport {
             ));
         }
         for e in &self.emitters {
-            body.push(format!(
+            let mut line = format!(
                 "emitter {} port={} format={} connections={} coalesced_batches={}",
                 e.query, e.port, e.format, e.connections, e.coalesced_batches
-            ));
+            );
+            let mut relays = self.relays.iter();
+            if let Some(r) = relays.find(|r| r.query == e.query && r.port == e.port) {
+                line.push_str(&format!(
+                    " relayed_chunks={} relayed_bytes={} dropped_chunks={} lost_sources={}",
+                    r.relayed_chunks, r.relayed_bytes, r.dropped_chunks, r.lost_sources
+                ));
+            }
+            body.push(line);
         }
         for sh in &self.shards {
             let mut line = if sh.unreachable {
@@ -403,6 +515,13 @@ impl StatsReport {
     /// Query row by name.
     pub fn query(&self, name: &str) -> Option<&QueryStats> {
         self.queries.iter().find(|q| q.name == name)
+    }
+
+    /// Emitter row by query and port.
+    pub fn emitter(&self, query: &str, port: u16) -> Option<&EmitterStats> {
+        self.emitters
+            .iter()
+            .find(|e| e.query == query && e.port == port)
     }
 
     /// Lifetime tuples ingested across all baskets — the load signal the
@@ -542,5 +661,67 @@ mod tests {
         assert_eq!(r.basket("S").unwrap().wal_fsync_p99_micros, 840);
         let r2 = StatsReport::parse(&r.render()).unwrap();
         assert_eq!(r, r2);
+    }
+
+    #[test]
+    fn relay_counters_ride_on_cluster_emitter_lines() {
+        let body = lines(&[
+            "emitter hot port=5002 format=binary connections=1 coalesced_batches=3 \
+             relayed_chunks=9 relayed_bytes=900 dropped_chunks=1 lost_sources=2",
+            "emitter hot port=5003 format=text connections=0 coalesced_batches=0",
+        ]);
+        let r = StatsReport::parse(&body).unwrap();
+        assert_eq!(r.emitters.len(), 2);
+        assert_eq!(r.emitter("hot", 5002).unwrap().coalesced_batches, 3);
+        assert_eq!(r.relays.len(), 1, "only the relayed line has relay keys");
+        assert_eq!((r.relays[0].port, r.relays[0].relayed_bytes), (5002, 900));
+        assert_eq!(r.relays[0].lost_sources, 2);
+        // render always leads with the server line
+        assert_eq!(r.render()[1..], body);
+    }
+
+    #[test]
+    fn fold_sums_counters_and_takes_the_worst_shard_for_peaks_and_quantiles() {
+        let basket = |total_in, high_water, cap, p99| BasketStats {
+            name: "S".into(),
+            total_in,
+            high_water,
+            cap,
+            wal_fsync_p99_micros: p99,
+            persistent: p99 > 0,
+            ..BasketStats::default()
+        };
+        let router = BasketStats {
+            name: "S".into(),
+            enabled: true,
+            ..BasketStats::default()
+        };
+        let shards = [basket(10, 4, 64, 0), basket(30, 9, 32, 700)];
+        let b = fold(router, &shards);
+        // name and enabled are the router's
+        assert_eq!((b.name.as_str(), b.enabled), ("S", true));
+        assert_eq!(b.total_in, 40);
+        assert_eq!((b.high_water, b.cap, b.wal_fsync_p99_micros), (9, 64, 700));
+        assert!(b.persistent);
+
+        let query = |firings, arrangement_bytes, p99_micros, subscribers| QueryStats {
+            firings,
+            arrangement_bytes,
+            p99_micros,
+            subscribers,
+            ..QueryStats::default()
+        };
+        let shards = [query(2, 100, 50, 7), query(3, 200, 80, 7)];
+        let q = fold(query(0, 0, 0, 1), &shards);
+        assert_eq!((q.firings, q.arrangement_bytes, q.p99_micros), (5, 300, 80));
+        assert_eq!(q.subscribers, 1, "subscribers are the router's own sockets");
+
+        let emitter = |connections, coalesced_batches| EmitterStats {
+            connections,
+            coalesced_batches,
+            ..EmitterStats::default()
+        };
+        let e = fold(emitter(2, 0), &[emitter(1, 4), emitter(1, 5)]);
+        assert_eq!((e.connections, e.coalesced_batches), (2, 9));
     }
 }

@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 use datacell::frame::WireFormat;
 use datacell::partition::Partitioner;
 use dccluster::{bind_cluster, ClusterConfig, ShardSpec};
-use dcserver::client::ShardedClient;
+use dcserver::client::Client;
 use monet::prelude::*;
 
 const SYNCED: i64 = 600; // rows ingested and replicated before the kill
@@ -152,7 +152,7 @@ fn run(format: WireFormat) {
         cluster.serve().expect("serve router");
     });
 
-    let mut c = ShardedClient::connect(addr).unwrap();
+    let mut c = Client::connect(addr).unwrap();
     c.request("CREATE STREAM S (id int, v int) PERSIST SHARD BY (id)")
         .unwrap();
     c.register_query("all", "select id, v from [select * from S] as Z")
@@ -208,7 +208,7 @@ fn run(format: WireFormat) {
         std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
                 let attempt = (|| -> std::result::Result<(), String> {
-                    let bg = ShardedClient::connect(addr).map_err(|e| e.to_string())?;
+                    let bg = Client::connect(addr).map_err(|e| e.to_string())?;
                     let mut sink = bg
                         .open_receptor_with(rport, format, &schema)
                         .map_err(|e| e.to_string())?;
